@@ -51,10 +51,14 @@ bench-smoke:
 # internal/experiment/runner_test.go), and — under the race detector —
 # the serial-vs-parallel bit-identity smoke at a rank-grouped world
 # size (clean + faulty runs must match the serial engine bit for bit
-# across Parallel=1 and Parallel=4; see parallel_smoke_test.go).
+# across Parallel=1 and Parallel=4; see parallel_smoke_test.go). The
+# per-sample model refit is pinned allocation-free beside the runner:
+# Add+Fit at a full window, and the daemon's StreamMonitor.Ingest.
 bench-scale-smoke:
 	$(GO) test -run 'TestScaleSmoke$$|TestFaultyRunAllocCeiling$$' -count=1 -v ./internal/bench
 	$(GO) test -run 'TestRunnerSteadyStateAllocs$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
+	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 	$(GO) test -race -run 'TestScaleParallelBitIdentitySmoke$$' -count=1 -v ./internal/bench
 
 # Kill-and-resume check on the tiny built-in grid: run half the sweep
@@ -70,14 +74,17 @@ sweep-smoke:
 # Short fuzz of the results-log reader (corrupted/torn JSONL must never
 # panic Load or sneak past its schema check), of the hang classifier
 # (arbitrary serialized snapshots must never panic Analyze or accuse an
-# unobserved rank), and of the admission-journal replay (corrupted or
-# torn journals must never panic ReplayJournal or double-admit a job).
-# Fixed seed corpus + 5s of mutation each.
+# unobserved rank), of the admission-journal replay (corrupted or
+# torn journals must never panic ReplayJournal or double-admit a job),
+# and of the model's maintained sorted window (after any Add/Halve
+# sequence it must equal the sorted history and fit bit-identically to
+# a rebuild). Fixed seed corpus + 5s of mutation each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=5s ./internal/sweep
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=5s ./internal/diagnose/waitfor
 	$(GO) test -run='^$$' -fuzz=FuzzProof -fuzztime=5s ./internal/ledger
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzModelIncremental -fuzztime=5s ./internal/model
 
 # Chaos smoke: a short clean campaign under the aggressive "heavy"
 # chaos profile, under the race detector, asserting zero false

@@ -8,6 +8,9 @@ package core
 // chaos.Injector, so every branch is hit on purpose.
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -362,5 +365,71 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	r.SampleOnce()
 	if r.TotalSamples() != wantSamples+1 {
 		t.Fatalf("restored monitor did not resume sampling: %d", r.TotalSamples())
+	}
+}
+
+// TestSnapshotRestoreContinuesBitIdentical: a restored monitor's models
+// are rebuilt in one step from the checkpointed samples, the donor's
+// were maintained sample by sample — and from the restore on the two
+// must stay indistinguishable: same history, same fit to the bit, on
+// every phase, through evictions and an interval-doubling Halve.
+func TestSnapshotRestoreContinuesBitIdentical(t *testing.T) {
+	cfg := Config{MaxHistory: 48}
+	m, w := parkedMonitor(32, 4, cfg)
+	rng := rand.New(rand.NewSource(11))
+	draw := func() float64 { return float64(rng.Intn(9)) / 8 }
+	for i := 0; i < 130; i++ { // wraps the phase-0 history more than twice
+		m.curModel().Add(draw())
+	}
+	m.NotifyPhase(3)
+	for i := 0; i < 20; i++ { // phase 3 stays below capacity
+		m.curModel().Add(draw())
+	}
+
+	r := RestoreMonitor(w, m.cluster, cfg, m.Snapshot())
+	same := func(when string) {
+		t.Helper()
+		for _, id := range []int{0, 3} {
+			dm, rm := m.PhaseModel(id), r.PhaseModel(id)
+			if rm == nil {
+				t.Fatalf("%s: restored monitor has no phase-%d model", when, id)
+			}
+			ds, rs := dm.Samples(), rm.Samples()
+			if len(ds) != len(rs) {
+				t.Fatalf("%s, phase %d: restored history has %d samples, donor %d", when, id, len(rs), len(ds))
+			}
+			for i := range ds {
+				if math.Float64bits(ds[i]) != math.Float64bits(rs[i]) {
+					t.Fatalf("%s, phase %d: sample %d is %v, donor has %v", when, id, i, rs[i], ds[i])
+				}
+			}
+			df, dok := dm.Fit()
+			rf, rok := rm.Fit()
+			if dok != rok || df.MinN != rf.MinN ||
+				math.Float64bits(df.Threshold) != math.Float64bits(rf.Threshold) ||
+				math.Float64bits(df.P) != math.Float64bits(rf.P) ||
+				math.Float64bits(df.E) != math.Float64bits(rf.E) ||
+				math.Float64bits(df.Q) != math.Float64bits(rf.Q) {
+				t.Fatalf("%s, phase %d: restored fit %+v (%v), donor %+v (%v)", when, id, rf, rok, df, dok)
+			}
+		}
+	}
+	same("after restore")
+	if r.Phase() != 3 {
+		t.Fatalf("restored phase = %d, want 3", r.Phase())
+	}
+	for i := 0; i < 120; i++ {
+		if i == 70 {
+			m.halveModels()
+			r.halveModels()
+		}
+		if i%40 == 0 {
+			m.NotifyPhase(3 - m.Phase())
+			r.NotifyPhase(3 - r.Phase())
+		}
+		v := draw()
+		m.curModel().Add(v)
+		r.curModel().Add(v)
+		same(fmt.Sprintf("%d samples on", i+1))
 	}
 }

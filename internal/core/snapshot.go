@@ -99,20 +99,14 @@ func RestoreMonitor(w *mpi.World, cluster *topology.Cluster, cfg Config, snap Sn
 	m.ModelReadyAt = snap.ModelReadyAt
 	m.modelWasReady = snap.ModelWasReady
 
-	rebuild := func(samples []float64) *model.Model {
-		md := model.New(m.cfg.MaxHistory)
-		for _, v := range samples {
-			md.Add(v)
-		}
-		return md
-	}
 	if len(snap.Phases) > 0 {
-		m.model = rebuild(snap.Phases[0])
+		m.model.Restore(snap.Phases[0])
 		if len(snap.Phases) > 1 || snap.CurPhase != 0 {
 			m.models = map[int]*model.Model{0: m.model}
 			for id, samples := range snap.Phases {
 				if id != 0 {
-					m.models[id] = rebuild(samples)
+					m.models[id] = model.New(m.cfg.MaxHistory)
+					m.models[id].Restore(samples)
 				}
 			}
 			if _, ok := m.models[snap.CurPhase]; !ok {

@@ -49,29 +49,67 @@ const pMaxCandidate = 0.75
 
 // Model accumulates Scrout samples and produces Fits. The zero value is
 // not usable; call New.
+//
+// It keeps the history twice: in arrival order (samples, for eviction,
+// Halve, Recent and snapshots) and sorted (window, for Fit). Add keeps
+// both current, so refitting on every sample — the monitor's
+// steady-state hot path — neither sorts nor allocates.
 type Model struct {
+	// samples is the arrival-order history, a view that slides through
+	// buf: evicting the oldest sample advances the view by one, and
+	// when it reaches the end of buf it is copied back to the front —
+	// once per maxN evictions, so about one element moved per Add.
 	samples []float64
+	buf     []float64 // 2*maxN
 	maxN    int
 
-	// ecdf is scratch reused by Fit; refitting on every sample is part
-	// of the monitor's steady-state hot path and must not allocate.
-	ecdf stats.ECDF
+	// window is the same multiset as samples, always sorted.
+	window stats.ECDF
 }
 
 // New returns a model retaining at most maxHistory samples (oldest
-// evicted first). maxHistory <= 0 selects the default of 1024.
+// evicted first). maxHistory <= 0 selects the default of 1024. Both
+// buffers are sized here, once.
 func New(maxHistory int) *Model {
 	if maxHistory <= 0 {
 		maxHistory = 1024
 	}
-	return &Model{maxN: maxHistory}
+	m := &Model{maxN: maxHistory, buf: make([]float64, 2*maxHistory)}
+	m.samples = m.buf[:0]
+	m.window.Grow(maxHistory)
+	return m
 }
 
-// Add appends one Scrout sample.
+// canon prepares a sample for the window: NaN has no place in a sorted
+// order (feeders validate; see service.Feed), and -0 becomes +0 so that
+// equal samples are bit-equal and a fit does not depend on which of two
+// equal values a sort happened to put first.
+func canon(s float64) float64 {
+	if s != s {
+		panic("model: NaN sample")
+	}
+	if s == 0 {
+		return 0
+	}
+	return s
+}
+
+// Add appends one Scrout sample, evicting the oldest at capacity.
 func (m *Model) Add(s float64) {
-	if len(m.samples) == m.maxN {
-		copy(m.samples, m.samples[1:])
-		m.samples = m.samples[:len(m.samples)-1]
+	s = canon(s)
+	if len(m.samples) < m.maxN {
+		m.samples = append(m.samples, s)
+		m.window.Insert(s)
+		return
+	}
+	if !m.window.Replace(m.samples[0], s) {
+		panic("model: evicted sample missing from the sorted window")
+	}
+	if cap(m.samples) == len(m.samples) {
+		copy(m.buf, m.samples[1:])
+		m.samples = m.buf[:m.maxN-1]
+	} else {
+		m.samples = m.samples[1:]
 	}
 	m.samples = append(m.samples, s)
 }
@@ -79,11 +117,12 @@ func (m *Model) Add(s float64) {
 // N returns the current sample count.
 func (m *Model) N() int { return len(m.samples) }
 
-// Samples returns the retained samples, oldest first (not a copy; do
-// not mutate).
+// Samples returns the retained samples, oldest first (not a copy: do
+// not mutate, and do not hold across an Add).
 func (m *Model) Samples() []float64 { return m.samples }
 
-// Recent returns up to the k most recent samples, oldest first.
+// Recent returns up to the k most recent samples, oldest first (under
+// the same terms as Samples).
 func (m *Model) Recent(k int) []float64 {
 	if k >= len(m.samples) {
 		return m.samples
@@ -96,11 +135,25 @@ func (m *Model) Recent(k int) []float64 {
 // at mean interval I are twice as dense as samples at 2I, so keeping
 // every other one re-normalizes the history to the new interval.
 func (m *Model) Halve() {
-	out := m.samples[:0]
+	out := m.buf[:0]
 	for i := 1; i < len(m.samples); i += 2 {
 		out = append(out, m.samples[i])
 	}
 	m.samples = out
+	m.window.Reset(m.samples)
+}
+
+// Restore replaces the history with samples (oldest first; the most
+// recent maxHistory are kept) — how a checkpointed model comes back.
+func (m *Model) Restore(samples []float64) {
+	if len(samples) > m.maxN {
+		samples = samples[len(samples)-m.maxN:]
+	}
+	m.samples = m.buf[:0]
+	for _, s := range samples {
+		m.samples = append(m.samples, canon(s))
+	}
+	m.window.Reset(m.samples)
 }
 
 // optimalP minimizes n(p) = max(5/p, z²·p(1-p)/e²) over p ∈ (0, 0.5] by
@@ -123,14 +176,24 @@ func optimalP(e float64) float64 {
 	return (lo + hi) / 2
 }
 
+// levelP[i] is optimalP(ToleranceLevels[i]). The optima depend on
+// nothing but the ladder's constants, so the search runs once here and
+// not four times per fit.
+var levelP = func() []float64 {
+	ps := make([]float64, len(ToleranceLevels))
+	for i, e := range ToleranceLevels {
+		ps[i] = optimalP(e)
+	}
+	return ps
+}()
+
 // fitAtLevel realizes the tolerance level e on the discrete empirical
-// distribution: around the analytic optimum p_m it considers
+// distribution: around the analytic optimum p_m = optimalP(e) it considers
 // t1 = max{X : Fn(X) < p_m} and t2 = min{X : Fn(X) >= p_m} and picks
 // the one whose achieved probability needs the smaller sample size
 // (paper §3.2). ok is false when no usable candidate exists (e.g. a
 // degenerate distribution where every candidate probability is ~1).
-func fitAtLevel(ecdf *stats.ECDF, e float64) (Fit, bool) {
-	pm := optimalP(e)
+func fitAtLevel(ecdf *stats.ECDF, e, pm float64) (Fit, bool) {
 	t2 := ecdf.Quantile(pm)
 	type cand struct {
 		t, p float64
@@ -173,10 +236,9 @@ func (m *Model) Fit() (Fit, bool) {
 	if n == 0 {
 		return Fit{}, false
 	}
-	m.ecdf.Reset(m.samples)
 	// Try finest tolerance first: 0.05, 0.1, 0.2, 0.3.
 	for i := len(ToleranceLevels) - 1; i >= 0; i-- {
-		f, ok := fitAtLevel(&m.ecdf, ToleranceLevels[i])
+		f, ok := fitAtLevel(&m.window, ToleranceLevels[i], levelP[i])
 		if ok && n >= f.MinN {
 			return f, true
 		}

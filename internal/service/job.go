@@ -101,6 +101,26 @@ func (js JobSpec) cell() (string, experiment.RunConfig, error) {
 	return cells[0].Key(), rc, nil
 }
 
+// materialize validates j.spec and builds what executes it: a stream
+// job's monitor, or a simulation job's cell key and run configuration.
+// Submit and Recover both admit through here, so a spec that would fail
+// mid-run fails at the door on either path.
+func (j *job) materialize() error {
+	js := j.spec
+	if !js.Stream {
+		key, rc, err := js.cell()
+		j.key, j.rc = key, rc
+		return err
+	}
+	// The geometric test panics on a significance level outside (0, 1),
+	// and would do so on the shard goroutine at the first suspicion.
+	if a := js.Alpha; a != 0 && !(a > 0 && a < 1) {
+		return fmt.Errorf("service: stream job alpha %v is outside (0, 1)", a)
+	}
+	j.mon = NewStreamMonitor(js.Alpha, 0)
+	return nil
+}
+
 // Verdict statuses.
 const (
 	// VerdictOK marks a job that ran to a decision (hang report or

@@ -68,29 +68,24 @@ func (s *Service) Recover(r results.Reader) (Replay, error) {
 	// this path never re-appends it.
 	for _, js := range rep.Open {
 		j := &job{spec: js, enq: time.Now(), done: make(chan struct{}), recovered: true}
-		if js.Stream {
-			j.mon = NewStreamMonitor(js.Alpha, 0)
-		} else {
-			key, rc, err := js.cell()
-			if err != nil {
-				// The journaled spec no longer validates (schema drift,
-				// hand-edited journal): close it out rather than losing it.
-				s.mu.Lock()
-				if s.draining || s.jobs[js.ID] != nil || s.decided[js.ID] != nil {
-					s.mu.Unlock()
-					continue
-				}
-				s.jobs[js.ID] = j
-				s.resident++
+		if err := j.materialize(); err != nil {
+			// The journaled spec no longer validates (schema drift,
+			// hand-edited journal, a journal written before the check
+			// existed): close it out rather than losing it.
+			s.mu.Lock()
+			if s.draining || s.jobs[js.ID] != nil || s.decided[js.ID] != nil {
 				s.mu.Unlock()
-				s.decide(j, Verdict{
-					JobID:  js.ID,
-					Status: VerdictFailed,
-					Error:  fmt.Sprintf("service: recovered job spec invalid: %v", err),
-				})
 				continue
 			}
-			j.key, j.rc = key, rc
+			s.jobs[js.ID] = j
+			s.resident++
+			s.mu.Unlock()
+			s.decide(j, Verdict{
+				JobID:  js.ID,
+				Status: VerdictFailed,
+				Error:  fmt.Sprintf("service: recovered job spec invalid: %v", err),
+			})
+			continue
 		}
 		s.mu.Lock()
 		if s.draining {

@@ -31,7 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,7 +51,7 @@ const (
 	CtrJobsFailed     = "service.jobs_failed"      // verdicts reached (run panicked)
 	CtrBatchesFlushed = "service.batches_flushed"  // ingest batches flushed (size or deadline)
 	CtrSamplesIn      = "service.samples_ingested" // stream samples accepted
-	CtrSamplesDropped = "service.samples_rejected" // stream samples refused (backlog, busy)
+	CtrSamplesDropped = "service.samples_rejected" // stream samples refused (backlog, busy, bad value)
 	CtrVerdictsServed = "service.verdicts_served"  // verdict query responses
 	CtrSinkAppends    = "service.sink_appends"     // verdicts appended to the results sink
 	CtrSinkErrors     = "service.sink_errors"      // results-sink append failures (verdict still served)
@@ -87,6 +87,10 @@ var (
 	ErrDuplicate = errors.New("service: duplicate job id")
 	// ErrNotStream rejects samples fed to a simulation job.
 	ErrNotStream = errors.New("service: job is not a stream job")
+	// ErrBadSample rejects a fed batch holding a Scrout value no
+	// collector can observe: NaN, ±Inf or negative. The whole batch is
+	// refused, so the job's stream has no hole the feeder did not make.
+	ErrBadSample = errors.New("service: scrout sample is not a finite non-negative number")
 	// ErrJournal rejects a submission whose admission record could not
 	// be journaled — the journal-before-ack invariant forbids telling
 	// the client "accepted" when a crash right now would lose the job.
@@ -310,15 +314,9 @@ func (s *Service) Submit(js JobSpec) error {
 		return fmt.Errorf("service: job needs an id")
 	}
 	j := &job{spec: js, enq: time.Now(), done: make(chan struct{})}
-	if js.Stream {
-		j.mon = NewStreamMonitor(js.Alpha, 0)
-	} else {
-		key, rc, err := js.cell()
-		if err != nil {
-			s.count(CtrJobsRejected, 1)
-			return err
-		}
-		j.key, j.rc = key, rc
+	if err := j.materialize(); err != nil {
+		s.count(CtrJobsRejected, 1)
+		return err
 	}
 
 	// Admission is atomic under mu — including the batcher offer — so
@@ -391,6 +389,13 @@ func (s *Service) Feed(jobID string, samples []StreamSample) error {
 	if len(samples) == 0 {
 		return nil
 	}
+	for _, smp := range samples {
+		// !(x >= 0) is true of NaN, -Inf and every negative, false of -0.
+		if !(smp.Scrout >= 0) || math.IsInf(smp.Scrout, 1) {
+			s.count(CtrSamplesDropped, int64(len(samples)))
+			return fmt.Errorf("%w: got %v", ErrBadSample, smp.Scrout)
+		}
+	}
 	s.mu.Lock()
 	j := s.jobs[jobID]
 	if j == nil {
@@ -439,11 +444,16 @@ func (s *Service) route(batch []envelope) {
 	}
 }
 
-// shardOf maps a job ID onto its shard by FNV-1a hash.
+// shardOf maps a job ID onto its shard by 32-bit FNV-1a hash, computed
+// inline (hash/fnv costs a hasher and a []byte per envelope). The
+// assignment fixes journal replay order, so it is pinned against
+// hash/fnv in the tests.
 func shardOf(id string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32()) % shards
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
+	}
+	return int(h) % shards
 }
 
 // shardLoop drains one shard queue: dispatching simulation jobs to the

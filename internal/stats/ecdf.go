@@ -1,10 +1,19 @@
 package stats
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ECDF is an empirical cumulative distribution function over a sample
 // set. It supports the two operations ParaStack's model needs:
 // evaluating Fn(x) and inverting it (quantiles over observed values).
+//
+// The sorted view can be built in one go (NewECDF, Reset: copy + sort)
+// or maintained one value at a time (Insert, Replace: binary search +
+// one memmove). Both leave the same sorted multiset, so every query
+// answers identically either way. Values must not be NaN: NaN has no
+// place in the order, and a maintained view could never find it again.
 type ECDF struct {
 	sorted []float64
 }
@@ -17,9 +26,9 @@ func NewECDF(samples []float64) *ECDF {
 }
 
 // Reset reinitializes the ECDF in place from samples, reusing the
-// sorted buffer's capacity (the input slice is not retained). Callers
-// on hot paths — the monitor refits its model on every sample — use
-// this to keep repeated fits allocation-free.
+// sorted buffer's capacity (the input slice is not retained). It costs
+// a full sort; callers that change one value at a time use Insert and
+// Replace instead.
 func (e *ECDF) Reset(samples []float64) {
 	if cap(e.sorted) < len(samples) {
 		e.sorted = make([]float64, len(samples))
@@ -29,17 +38,60 @@ func (e *ECDF) Reset(samples []float64) {
 	sort.Float64s(e.sorted)
 }
 
+// Grow ensures capacity for n values, so a caller maintaining a bounded
+// window sizes the buffer once and Insert never reallocates.
+func (e *ECDF) Grow(n int) {
+	if extra := n - len(e.sorted); extra > 0 {
+		e.sorted = slices.Grow(e.sorted, extra)
+	}
+}
+
+// above returns the number of values <= x, which is also the first
+// index holding a value > x.
+func (e *ECDF) above(x float64) int {
+	return sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
+}
+
+// Insert adds one value in place. It goes after any equal values, so
+// only the strictly greater ones move.
+func (e *ECDF) Insert(v float64) {
+	i := e.above(v)
+	e.sorted = append(e.sorted, 0)
+	copy(e.sorted[i+1:], e.sorted[i:])
+	e.sorted[i] = v
+}
+
+// Replace swaps one occurrence of old for v in place — a removal and
+// an insertion that move only the values lying between the two — and
+// reports whether old was there.
+func (e *ECDF) Replace(old, v float64) bool {
+	i := e.above(old) - 1
+	if i < 0 || e.sorted[i] != old {
+		return false
+	}
+	if j := e.above(v); j > i {
+		copy(e.sorted[i:], e.sorted[i+1:j])
+		e.sorted[j-1] = v
+	} else {
+		copy(e.sorted[j+1:], e.sorted[j:i])
+		e.sorted[j] = v
+	}
+	return true
+}
+
 // N returns the sample count.
 func (e *ECDF) N() int { return len(e.sorted) }
+
+// Sorted returns every value in increasing order (not a copy; do not
+// mutate).
+func (e *ECDF) Sorted() []float64 { return e.sorted }
 
 // F returns Fn(x) = fraction of samples <= x.
 func (e *ECDF) F(x float64) float64 {
 	if len(e.sorted) == 0 {
 		return 0
 	}
-	// First index with value > x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
+	return float64(e.above(x)) / float64(len(e.sorted))
 }
 
 // Quantile returns the smallest observed value t with Fn(t) >= p, i.e.

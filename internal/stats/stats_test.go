@@ -202,6 +202,50 @@ func TestECDFQuantileProperty(t *testing.T) {
 	}
 }
 
+// An ECDF maintained by Insert and Replace holds, after every step, the
+// sorted multiset a Reset over the same values would have built.
+func TestECDFMaintainedMatchesReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var e ECDF
+	e.Grow(16)
+	grown := &e.Sorted()[:1][0]
+	var vals []float64
+	check := func(step string) {
+		t.Helper()
+		want := NewECDF(vals).Sorted()
+		got := e.Sorted()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %v, a Reset gives %v", step, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: %v, a Reset gives %v", step, got, want)
+			}
+		}
+	}
+	for len(vals) < 16 {
+		v := float64(rng.Intn(5)) // few distinct values: runs of equals
+		e.Insert(v)
+		vals = append(vals, v)
+		check("insert")
+	}
+	for i := 0; i < 500; i++ {
+		k, v := rng.Intn(len(vals)), float64(rng.Intn(7)-1)
+		if !e.Replace(vals[k], v) {
+			t.Fatalf("Replace(%v, %v) found no %v in %v", vals[k], v, vals[k], e.Sorted())
+		}
+		vals[k] = v
+		check("replace")
+	}
+	if e.Replace(99, 1) {
+		t.Fatal("Replace of an absent value reported success")
+	}
+	check("replace of an absent value")
+	if &e.Sorted()[0] != grown {
+		t.Fatal("the buffer moved: Grow(16) should have sized it for 16 values once")
+	}
+}
+
 func TestECDFValuesAndBelow(t *testing.T) {
 	e := NewECDF([]float64{0.2, 0.1, 0.2, 0.5})
 	vals := e.Values()
