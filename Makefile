@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check bench bench-json bench-smoke bench-scale-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
+.PHONY: all build test vet race fmt-check bench bench-json bench-smoke bench-scale-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
 
 all: build test
 
@@ -53,13 +53,27 @@ bench-smoke:
 # size (clean + faulty runs must match the serial engine bit for bit
 # across Parallel=1 and Parallel=4; see parallel_smoke_test.go). The
 # per-sample model refit is pinned allocation-free beside the runner:
-# Add+Fit at a full window, and the daemon's StreamMonitor.Ingest.
+# Add+Fit at a full window, and the daemon's StreamMonitor.Ingest. The
+# runner's own gates ride along: objects and bytes per reused run, the
+# windowed executor's bytes per run against the serial one's, and the
+# goroutine count after runs that panicked.
 bench-scale-smoke:
 	$(GO) test -run 'TestScaleSmoke$$|TestFaultyRunAllocCeiling$$' -count=1 -v ./internal/bench
-	$(GO) test -run 'TestRunnerSteadyStateAllocs$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestRunnerSteadyStateAllocs$$|TestWindowedRunAllocCeiling$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 	$(GO) test -race -run 'TestScaleParallelBitIdentitySmoke$$' -count=1 -v ./internal/bench
+
+# Handoff smoke: the serial executor's loop travels from goroutine to
+# goroutine (whoever parks drives), so its tests — generated programs
+# whose dispatch log must not depend on how a run is sliced, the
+# closure-on-Run's-goroutine rule, panic and Shutdown paths — run
+# repeatedly under the race detector on one and on four Ps; the daemon's
+# admission → shard → pool pipeline, which has no timer left to hide an
+# ordering bug behind, gets the same treatment.
+sim-chain-smoke:
+	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial' ./internal/sim
+	$(GO) test -race -count=5 ./internal/service
 
 # Kill-and-resume check on the tiny built-in grid: run half the sweep
 # (-halt-after is the deterministic crash stand-in), then resume and
@@ -144,4 +158,4 @@ ledger-smoke:
 	@echo "ledger-smoke: OK"
 
 # The gate PRs must pass.
-ci: fmt-check vet build race bench-smoke bench-scale-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke
+ci: fmt-check vet build race bench-smoke bench-scale-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke

@@ -30,7 +30,7 @@
 // hangs (deadlock, collective mismatch) are never retried.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: intake is rejected,
-// the ingest batcher flushes, every in-flight run completes, pending
+// the shard queues empty, every in-flight run completes, pending
 // stream jobs are closed out, and only then do the listeners shut down
 // — so a client that submitted before the signal can still collect its
 // verdict. -drain-timeout is a hard deadline: on expiry the
@@ -90,8 +90,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "ingest routing shards (0 = min(workers, 4))")
 	maxJobs := flag.Int("max-jobs", 0, "residency quota: max undecided jobs (0 = 1024)")
-	batch := flag.Int("batch", 0, "ingest batch size (0 = 16)")
-	batchDelay := flag.Duration("batch-delay", 0, "ingest batch flush deadline (0 = 2ms)")
 	retries := flag.Int("retries", 1, "retries for a panicking run (0 = none)")
 	ledgerDir := flag.String("ledger", "", "append every verdict to a tamper-evident Merkle ledger at this directory (verify with psverify -out DIR)")
 	journalPath := flag.String("journal", "", "durable admission journal (JSONL file): admits are journaled before the client sees success, and a restart with the same journal recovers open jobs exactly-once")
@@ -147,8 +145,6 @@ func run() int {
 		Workers:          *workers,
 		Shards:           *shards,
 		MaxJobs:          *maxJobs,
-		BatchSize:        *batch,
-		BatchDelay:       *batchDelay,
 		Retries:          sweep.LiteralRetries(*retries),
 		Recorder:         rec,
 		Sink:             sinkOrNil(led),

@@ -16,11 +16,11 @@ import (
 //
 //   - service/job_burst: a burst of real CG/D/64 computation-hang
 //     simulation jobs submitted through the full pipeline (admission →
-//     batcher → shards → worker pool) and awaited. Reports whole-job
+//     shards → worker pool) and awaited. Reports whole-job
 //     throughput (jobs/sec), the p99 admission→dispatch ingest latency,
 //     and aggregate simulated events/sec.
 //   - service/stream_ingest: Scrout samples fed through Feed, the
-//     batcher, and a shard into a StreamMonitor — the daemon-side cost
+//     shard queue into a StreamMonitor — the daemon-side cost
 //     of an external feeder. EventsPerSec is samples/sec here.
 //   - monitor/stream_ingest: the bare StreamMonitor.Ingest hot loop
 //     (model add + refit + streak bookkeeping), isolating detector cost
@@ -31,7 +31,7 @@ import (
 // the real binary and socket instead.
 
 // serviceBurstJobs sizes the job burst: large enough to keep every
-// worker busy and make the batcher flush on size, small enough that the
+// worker busy and the shard queues backed up, small enough that the
 // suite stays in CI budget.
 const serviceBurstJobs = 48
 
@@ -113,14 +113,12 @@ func benchServiceJobBurst() Result {
 }
 
 // benchServiceStreamIngest measures the daemon-side cost of an external
-// Scrout feeder: Feed → batcher → shard → StreamMonitor.
+// Scrout feeder: Feed → shard → StreamMonitor.
 func benchServiceStreamIngest() Result {
 	svc := service.New(service.Config{
-		// The backlog must admit the whole volume; the batcher and shard
-		// bounds still apply, so the measured path is the real pipeline.
+		// The backlog must admit the whole volume; the shard queue's
+		// bound still applies, so the measured path is the real pipeline.
 		StreamBacklog: serviceStreamSamples + 1,
-		BatchSize:     256,
-		BatchDelay:    time.Millisecond,
 	})
 	if err := svc.Submit(service.JobSpec{ID: "feeder", Stream: true}); err != nil {
 		panic(fmt.Sprintf("bench: stream submit: %v", err))

@@ -18,6 +18,7 @@ import (
 	"parastack/internal/detect"
 	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/fault"
+	"parastack/internal/model"
 	"parastack/internal/mpi"
 	"parastack/internal/noise"
 	"parastack/internal/obs"
@@ -208,6 +209,11 @@ func (r *RunResult) RetryClass() detect.RetryClass {
 type Runner struct {
 	eng *sim.Engine
 	w   *mpi.World
+
+	// model is the previous run's detector model (of capacity modelMax):
+	// the next monitor takes over its buffers instead of growing its own.
+	model    *model.Model
+	modelMax int
 }
 
 // NewRunner returns an empty Runner; its first Run allocates the engine
@@ -221,7 +227,41 @@ func Run(rc RunConfig) RunResult { return NewRunner().Run(rc) }
 // Run executes one simulation, reusing the Runner's engine and world
 // from the previous call when possible (the world is rebuilt only when
 // the process count changes).
+//
+// A panic unwinding through Run (a crash plan, a detector, a closure
+// event — anything on Run's goroutine) leaves the engine mid-run with
+// every rank parked: Run shuts it down so the goroutines exit, forgets
+// the engine and world so the next Run builds fresh ones, and lets the
+// panic continue.
 func (rn *Runner) Run(rc RunConfig) RunResult {
+	finished := false
+	defer func() {
+		if !finished {
+			eng := rn.eng
+			*rn = Runner{}
+			if eng != nil {
+				eng.Shutdown()
+			}
+		}
+	}()
+	res := rn.run(rc)
+	finished = true
+	return res
+}
+
+// reuseModel moves the previous run's model buffers into m, the model
+// of the monitor just built with history capacity maxHistory, and
+// remembers m for the next run. Nothing a RunResult holds points into
+// those buffers.
+func (rn *Runner) reuseModel(m *model.Model, maxHistory int) {
+	if rn.model != nil && rn.modelMax == maxHistory {
+		rn.model.Reset()
+		*m = *rn.model
+	}
+	rn.model, rn.modelMax = m, maxHistory
+}
+
+func (rn *Runner) run(rc RunConfig) RunResult {
 	p := rc.Params
 	procs := p.Procs
 	ppn := rc.PPN
@@ -306,6 +346,7 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 			cfg.Chaos = chInj
 		}
 		mon = core.New(w, cluster, cfg)
+		rn.reuseModel(mon.Model(), cfg.MaxHistory)
 		mon.Start()
 		if crashAt, downtime, crash := chInj.CrashPlan(); crash {
 			// Monitor failover: at the crash time, checkpoint and kill

@@ -103,8 +103,7 @@ type head struct {
 type Options struct {
 	// BatchSize commits a batch at this many records (0 = 64).
 	BatchSize int
-	// BatchDelay commits a partial batch after this long (0 = 50ms) —
-	// the size+deadline flush pattern shared with the service batcher.
+	// BatchDelay commits a partial batch after this long (0 = 50ms).
 	BatchDelay time.Duration
 	// Depth bounds the intake channel (0 = 256): when commits stall,
 	// Append blocks rather than buffering without limit.
@@ -448,9 +447,9 @@ func (l *Ledger) Close() error {
 	return l.Err()
 }
 
-// loop is the single committer goroutine: the size+deadline batcher
-// (the internal/service/batcher.go pattern — a deadline timer armed
-// when a batch opens, flush on size or deadline, whichever wins).
+// loop is the single committer goroutine: a size+deadline batcher (a
+// deadline timer armed when a batch opens, flush on size or deadline,
+// whichever wins).
 func (l *Ledger) loop() {
 	defer l.wg.Done()
 	timer := time.NewTimer(0)

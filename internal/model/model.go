@@ -65,19 +65,39 @@ type Model struct {
 
 	// window is the same multiset as samples, always sorted.
 	window stats.ECDF
+
+	// fit memoises the last Fit. It read nothing above fitBound — the
+	// t2 of the coarsest level it examined — so it stands until the
+	// sample count changes or a value at or below fitBound comes or goes.
+	fit      Fit
+	fitOK    bool
+	fitBound float64
+	fitValid bool
 }
 
 // New returns a model retaining at most maxHistory samples (oldest
 // evicted first). maxHistory <= 0 selects the default of 1024. Both
-// buffers are sized here, once.
+// buffers are sized once, when the first sample arrives.
 func New(maxHistory int) *Model {
 	if maxHistory <= 0 {
 		maxHistory = 1024
 	}
-	m := &Model{maxN: maxHistory, buf: make([]float64, 2*maxHistory)}
+	return &Model{maxN: maxHistory}
+}
+
+// grow sizes both buffers for maxN samples.
+func (m *Model) grow() {
+	m.buf = make([]float64, 2*m.maxN)
 	m.samples = m.buf[:0]
-	m.window.Grow(maxHistory)
-	return m
+	m.window.Grow(m.maxN)
+}
+
+// Reset empties the model and keeps its buffers, so a campaign can hand
+// one model from run to run instead of growing 24 KB per run.
+func (m *Model) Reset() {
+	m.samples = m.buf[:0]
+	m.window.Reset(nil)
+	m.fitValid = false
 }
 
 // canon prepares a sample for the window: NaN has no place in a sorted
@@ -98,12 +118,20 @@ func canon(s float64) float64 {
 func (m *Model) Add(s float64) {
 	s = canon(s)
 	if len(m.samples) < m.maxN {
+		if m.buf == nil {
+			m.grow()
+		}
 		m.samples = append(m.samples, s)
 		m.window.Insert(s)
+		m.fitValid = false
 		return
 	}
-	if !m.window.Replace(m.samples[0], s) {
+	old := m.samples[0]
+	if !m.window.Replace(old, s) {
 		panic("model: evicted sample missing from the sorted window")
+	}
+	if old <= m.fitBound || s <= m.fitBound {
+		m.fitValid = false
 	}
 	if cap(m.samples) == len(m.samples) {
 		copy(m.buf, m.samples[1:])
@@ -141,6 +169,7 @@ func (m *Model) Halve() {
 	}
 	m.samples = out
 	m.window.Reset(m.samples)
+	m.fitValid = false
 }
 
 // Restore replaces the history with samples (oldest first; the most
@@ -149,11 +178,15 @@ func (m *Model) Restore(samples []float64) {
 	if len(samples) > m.maxN {
 		samples = samples[len(samples)-m.maxN:]
 	}
+	if m.buf == nil {
+		m.grow()
+	}
 	m.samples = m.buf[:0]
 	for _, s := range samples {
 		m.samples = append(m.samples, canon(s))
 	}
 	m.window.Reset(m.samples)
+	m.fitValid = false
 }
 
 // optimalP minimizes n(p) = max(5/p, z²·p(1-p)/e²) over p ∈ (0, 0.5] by
@@ -178,11 +211,16 @@ func optimalP(e float64) float64 {
 
 // levelP[i] is optimalP(ToleranceLevels[i]). The optima depend on
 // nothing but the ladder's constants, so the search runs once here and
-// not four times per fit.
+// not four times per fit. They shrink with the tolerance: a finer level
+// looks lower in the window than a coarser one, which is what lets Fit
+// bound everything it read by the last level it examined.
 var levelP = func() []float64 {
 	ps := make([]float64, len(ToleranceLevels))
 	for i, e := range ToleranceLevels {
 		ps[i] = optimalP(e)
+		if i > 0 && ps[i] >= ps[i-1] {
+			panic("model: optimalP does not decrease along the tolerance ladder")
+		}
 	}
 	return ps
 }()
@@ -236,14 +274,23 @@ func (m *Model) Fit() (Fit, bool) {
 	if n == 0 {
 		return Fit{}, false
 	}
+	if m.fitValid {
+		return m.fit, m.fitOK
+	}
 	// Try finest tolerance first: 0.05, 0.1, 0.2, 0.3.
-	for i := len(ToleranceLevels) - 1; i >= 0; i-- {
+	i := len(ToleranceLevels) - 1
+	for ; i >= 0; i-- {
 		f, ok := fitAtLevel(&m.window, ToleranceLevels[i], levelP[i])
 		if ok && n >= f.MinN {
-			return f, true
+			m.fit, m.fitOK = f, true
+			break
 		}
 	}
-	return Fit{}, false
+	if i < 0 {
+		m.fit, m.fitOK, i = Fit{}, false, 0
+	}
+	m.fitBound, m.fitValid = m.window.Quantile(levelP[i]), true
+	return m.fit, m.fitOK
 }
 
 // Ready reports whether enough samples have accumulated for hang

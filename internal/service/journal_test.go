@@ -59,7 +59,7 @@ func (m *memSink) setFail(fail bool) {
 // journal verdict record precedes its verdict-sink record.
 func TestJournalBeforeAck(t *testing.T) {
 	ms := &memSink{}
-	s := New(Config{Run: fakeRun, Journal: ms, Sink: ms, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun, Journal: ms, Sink: ms})
 	if err := s.Submit(simJob("j1", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestJournalBeforeAck(t *testing.T) {
 func TestJournalAppendFailureWithdrawsJob(t *testing.T) {
 	ms := &memSink{}
 	ms.setFail(true)
-	s := New(Config{Run: fakeRun, Journal: ms, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun, Journal: ms})
 	defer s.Close()
 
 	err := s.Submit(simJob("j1", 1))
@@ -267,7 +267,7 @@ func TestRecoverExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcA := New(Config{Run: wedgeHigh, Workers: 2, Journal: jnlA, Sink: led, BatchDelay: time.Millisecond})
+	svcA := New(Config{Run: wedgeHigh, Workers: 2, Journal: jnlA, Sink: led})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 1; i <= 4; i++ {
@@ -280,6 +280,10 @@ func TestRecoverExactlyOnce(t *testing.T) {
 			}
 		}
 	}
+	// Wait wakes on the verdict, and the verdict's journal record is
+	// written just after it: let all six records (four admits, two
+	// verdicts) land before the crash.
+	waitUntil(t, "A's six journal records", func() bool { return svcA.Counters().Counter(CtrJournalAppends) == 6 })
 	// "Crash": abandon A without draining. Its journal file handle is
 	// closed so B's appends are the only live writes.
 	if err := jnlA.Close(); err != nil {
@@ -292,7 +296,7 @@ func TestRecoverExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnlB.Close()
-	svcB := New(Config{Run: fakeRun, Workers: 2, Journal: jnlB, Sink: led, BatchDelay: time.Millisecond})
+	svcB := New(Config{Run: fakeRun, Workers: 2, Journal: jnlB, Sink: led})
 	rep, err := svcB.Recover(jnlB)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -313,7 +317,7 @@ func TestRecoverExactlyOnce(t *testing.T) {
 	}
 
 	// Reference: daemon C runs the same four jobs uninterrupted.
-	svcC := New(Config{Run: fakeRun, Workers: 2, BatchDelay: time.Millisecond})
+	svcC := New(Config{Run: fakeRun, Workers: 2})
 	for i := 1; i <= 4; i++ {
 		if err := svcC.Submit(simJob(fmt.Sprintf("j%d", i), int64(i))); err != nil {
 			t.Fatalf("C submit j%d: %v", i, err)

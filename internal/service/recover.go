@@ -62,10 +62,11 @@ func (s *Service) Recover(r results.Reader) (Replay, error) {
 	}
 
 	// Re-admit open jobs: registered under mu (the Submit admission
-	// rule), then pushed into the ingest stage with a blocking put —
+	// rule), then put on their shard queue with a blocking send —
 	// recovery must not drop a journaled job because the replay burst
-	// outran the ingest bound. The admit record is already journaled, so
-	// this path never re-appends it.
+	// outran the queue bound (so Recover must not race Drain, which
+	// closes the queues). The admit record is already journaled, so this
+	// path never re-appends it.
 	for _, js := range rep.Open {
 		j := &job{spec: js, enq: time.Now(), done: make(chan struct{}), recovered: true}
 		if err := j.materialize(); err != nil {
@@ -99,7 +100,7 @@ func (s *Service) Recover(r results.Reader) (Replay, error) {
 		s.jobs[js.ID] = j
 		s.resident++
 		s.mu.Unlock()
-		s.batcher.put(envelope{j: j, enq: j.enq})
+		s.shards[shardOf(js.ID, len(s.shards))] <- envelope{j: j, enq: j.enq}
 		s.armDeadline(j)
 		s.count(CtrJobsRecovered, 1)
 	}
@@ -114,11 +115,8 @@ type Health struct {
 	// Resident and Decided count jobs in flight and jobs with verdicts.
 	Resident int `json:"resident"`
 	Decided  int `json:"decided"`
-	// IngestDepth/IngestCap are the batcher input channel's fill and
-	// bound — the first backpressure stage.
-	IngestDepth int `json:"ingest_depth"`
-	IngestCap   int `json:"ingest_cap"`
-	// ShardDepths is each shard queue's current fill.
+	// ShardDepths is each shard queue's current fill (bounded by
+	// Config.ShardDepth) — the backpressure stage.
 	ShardDepths []int `json:"shard_depths"`
 	// OpenBreakers lists shards whose circuit breaker is refusing
 	// dispatch right now.
@@ -136,8 +134,6 @@ func (s *Service) Health() Health {
 	now := time.Now()
 	h := Health{
 		Status:      "ok",
-		IngestCap:   s.cfg.IngestDepth,
-		IngestDepth: len(s.batcher.in),
 		ShardDepths: make([]int, len(s.shards)),
 	}
 	for i, q := range s.shards {

@@ -45,7 +45,7 @@ func startServer(t *testing.T, cfg Config) (*Service, *Server, *Client) {
 }
 
 func TestServerRoundTrip(t *testing.T) {
-	_, _, cl := startServer(t, Config{BatchDelay: time.Millisecond})
+	_, _, cl := startServer(t, Config{})
 
 	if resp, err := cl.Do(Request{Op: OpPing}); err != nil || !resp.OK {
 		t.Fatalf("ping: %+v err=%v", resp, err)
@@ -93,7 +93,7 @@ func TestServerRoundTrip(t *testing.T) {
 }
 
 func TestServerStreamOverWire(t *testing.T) {
-	_, _, cl := startServer(t, Config{BatchDelay: time.Millisecond})
+	_, _, cl := startServer(t, Config{})
 
 	js := JobSpec{ID: "feed", Stream: true}
 	if resp, err := cl.Do(Request{Op: OpSubmit, Job: &js}); err != nil || !resp.OK {
@@ -138,7 +138,7 @@ func TestServerMalformedFrame(t *testing.T) {
 }
 
 func TestHTTPSurface(t *testing.T) {
-	svc := New(Config{Run: fakeRun, BatchDelay: time.Millisecond})
+	svc := New(Config{Run: fakeRun})
 	defer svc.Close()
 	h := Handler(svc)
 

@@ -5,19 +5,20 @@
 //
 // The pipeline is:
 //
-//	Submit/Feed ──► admission (validate, quota) ──► batcher
-//	    (size+deadline flush) ──► router ──► per-shard bounded
-//	    queues ──► shard loops ──► sweep.Pool workers
+//	Submit/Feed ──► admission (validate, quota) ──► the job's
+//	    shard queue (bounded) ──► shard loop ──► sweep.Pool workers
 //	    (per-worker experiment.Runner) / StreamMonitor feeds ──►
 //	    verdict store ──► Verdict / Verdicts queries
 //
 // Every stage is bounded, and saturation propagates backwards: busy
-// workers stall the shard loops, full shard queues stall the router,
-// a full batcher input rejects admission (ErrBusy). Jobs beyond the
+// workers stall the shard loops, and a full shard queue rejects
+// admission (ErrBusy) for the jobs that hash to it. Jobs beyond the
 // residency quota are rejected up front (ErrQuota), and each stream
 // job's unprocessed samples are capped (ErrBacklog). A job's identity
 // is sharded by FNV hash, so one job's envelopes are always processed
-// in order by a single shard.
+// in order by a single shard; a shard loop takes everything its queue
+// holds in one drain, so the per-envelope cost under load is a channel
+// receive, not a lock or a timer.
 //
 // Determinism carries through from the library: a simulation job's
 // verdict is bit-identical to the same configuration run through
@@ -49,7 +50,7 @@ const (
 	CtrJobsRejected   = "service.jobs_rejected"    // submissions refused (quota, busy, invalid, duplicate)
 	CtrJobsCompleted  = "service.jobs_completed"   // verdicts reached (ok)
 	CtrJobsFailed     = "service.jobs_failed"      // verdicts reached (run panicked)
-	CtrBatchesFlushed = "service.batches_flushed"  // ingest batches flushed (size or deadline)
+	CtrBatchesFlushed = "service.batches_flushed"  // shard drains (one or more queued envelopes taken together)
 	CtrSamplesIn      = "service.samples_ingested" // stream samples accepted
 	CtrSamplesDropped = "service.samples_rejected" // stream samples refused (backlog, busy, bad value)
 	CtrVerdictsServed = "service.verdicts_served"  // verdict query responses
@@ -73,8 +74,8 @@ var (
 	// ErrQuota rejects a submission that would exceed Config.MaxJobs
 	// resident jobs.
 	ErrQuota = errors.New("service: job quota exhausted")
-	// ErrBusy rejects an envelope because the ingest stage is
-	// saturated — the backpressure signal of a slow consumer.
+	// ErrBusy rejects an envelope because its job's shard queue is
+	// full — the backpressure signal of a slow consumer.
 	ErrBusy = errors.New("service: ingest saturated, retry later")
 	// ErrBacklog rejects stream samples because the job's bounded
 	// sample queue is full.
@@ -108,16 +109,10 @@ type Config struct {
 	// MaxJobs is the residency quota: jobs admitted but not yet
 	// decided (0 = 1024).
 	MaxJobs int
-	// IngestDepth bounds the batcher's input channel (0 = 256).
-	IngestDepth int
 	// ShardDepth bounds each shard's queue (0 = 64).
 	ShardDepth int
 	// StreamBacklog caps one stream job's unprocessed samples (0 = 4096).
 	StreamBacklog int
-	// BatchSize flushes an ingest batch at this many envelopes (0 = 16).
-	BatchSize int
-	// BatchDelay flushes a partial batch after this long (0 = 2ms).
-	BatchDelay time.Duration
 	// Retries is re-execution of panicking runs, in the sweep.Options
 	// encoding (0 = default 1, negative = none; see
 	// sweep.LiteralRetries).
@@ -180,20 +175,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
 	}
-	if c.IngestDepth <= 0 {
-		c.IngestDepth = 256
-	}
 	if c.ShardDepth <= 0 {
 		c.ShardDepth = 64
 	}
 	if c.StreamBacklog <= 0 {
 		c.StreamBacklog = 4096
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 2 * time.Millisecond
 	}
 	if c.Recorder == nil {
 		c.Recorder = obs.New(nil)
@@ -206,6 +192,14 @@ func (c Config) withDefaults() Config {
 		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
+}
+
+// envelope is one admitted ingest item: a job admission (samples nil)
+// or a stream-sample payload for an already-admitted job.
+type envelope struct {
+	j       *job
+	samples []StreamSample
+	enq     time.Time
 }
 
 // job is one resident job's state.
@@ -229,6 +223,12 @@ type job struct {
 	recovered  bool        // re-admitted by Recover (admit already journaled)
 	withdrawn  bool        // journal-before-ack failed: skip dispatch, record no verdict
 
+	// journaled is closed once Submit has the admit record durable (or
+	// has withdrawn the job); the shard holds the job until then, so a
+	// verdict can never precede its admit record in the journal nor
+	// outrun a withdrawal. nil when nothing is being journaled.
+	journaled chan struct{}
+
 	done    chan struct{} // closed when the verdict lands
 	verdict Verdict
 }
@@ -239,7 +239,6 @@ type job struct {
 type Service struct {
 	cfg      Config
 	pool     *sweep.Pool
-	batcher  *batcher
 	shards   []chan envelope
 	shardWG  sync.WaitGroup
 	breakers []*breaker
@@ -257,8 +256,7 @@ type Service struct {
 	rec   obs.Recorder
 }
 
-// New starts a service: the worker pool, the shard loops, and the
-// ingest batcher.
+// New starts a service: the worker pool and the shard loops.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -284,7 +282,6 @@ func New(cfg Config) *Service {
 		s.shardWG.Add(1)
 		go s.shardLoop(i, s.shards[i])
 	}
-	s.batcher = newBatcher(cfg.IngestDepth, cfg.BatchSize, cfg.BatchDelay, s.route)
 	return s
 }
 
@@ -319,10 +316,10 @@ func (s *Service) Submit(js JobSpec) error {
 		return err
 	}
 
-	// Admission is atomic under mu — including the batcher offer — so
-	// Drain (which flips draining under the same mu before closing the
-	// batcher) can never close the ingest channel between an admission
-	// check and its offer.
+	// Admission is atomic under mu — including the shard-queue offer —
+	// so Drain (which flips draining under the same mu before closing
+	// the queues) can never close one between an admission check and
+	// its offer.
 	s.mu.Lock()
 	switch {
 	case s.draining:
@@ -338,7 +335,11 @@ func (s *Service) Submit(js JobSpec) error {
 		s.count(CtrJobsRejected, 1)
 		return ErrQuota
 	}
-	if !s.batcher.offer(envelope{j: j, enq: j.enq}) {
+	if s.journal != nil {
+		j.journaled = make(chan struct{})
+		defer close(j.journaled)
+	}
+	if !s.offer(envelope{j: j, enq: j.enq}) {
 		s.mu.Unlock()
 		s.count(CtrJobsRejected, 1)
 		return ErrBusy
@@ -422,7 +423,7 @@ func (s *Service) Feed(jobID string, samples []StreamSample) error {
 		s.count(CtrSamplesDropped, int64(len(samples)))
 		return ErrBacklog
 	}
-	if !s.batcher.offer(envelope{j: j, samples: samples, enq: time.Now()}) {
+	if !s.offer(envelope{j: j, samples: samples, enq: time.Now()}) {
 		s.mu.Unlock()
 		s.count(CtrSamplesDropped, int64(len(samples)))
 		return ErrBusy
@@ -433,14 +434,15 @@ func (s *Service) Feed(jobID string, samples []StreamSample) error {
 	return nil
 }
 
-// route is the batcher's flush: fan one batch out to the shard queues.
-// It runs on the single batcher goroutine and may block on a full
-// shard queue — that stall backs up into the batcher input, which is
-// what turns a slow consumer into admission-time ErrBusy.
-func (s *Service) route(batch []envelope) {
-	s.count(CtrBatchesFlushed, 1)
-	for _, e := range batch {
-		s.shards[shardOf(e.j.spec.ID, len(s.shards))] <- e
+// offer puts one envelope on its job's shard queue without blocking;
+// false means the queue is full (backpressure). Callers hold mu and
+// have seen draining false, so the queue is open.
+func (s *Service) offer(e envelope) bool {
+	select {
+	case s.shards[shardOf(e.j.spec.ID, len(s.shards))] <- e:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -456,32 +458,71 @@ func shardOf(id string, shards int) int {
 	return int(h) % shards
 }
 
-// shardLoop drains one shard queue: dispatching simulation jobs to the
+// shardLoop serves one shard queue: dispatching simulation jobs to the
 // worker pool (blocking while all workers are busy — the pool's
 // backpressure) and feeding stream samples to their monitors. Each
 // dispatch goes through the shard's circuit breaker and, on
 // completion, the supervisor's retry policy (supervisor.go).
 func (s *Service) shardLoop(idx int, q chan envelope) {
 	defer s.shardWG.Done()
+	var fed []envelope
 	for e := range q {
-		j := e.j
+		fed = s.drainShard(idx, e, q, fed[:0])
+	}
+}
+
+// drainShard handles first and then whatever else q already holds, up
+// to its capacity, without blocking. Sample envelopes run back to back
+// with no lock taken (the monitor belongs to this shard; isDecided is a
+// channel poll), and the backlog they occupied is released for all of
+// them together, under one mu acquisition, when the drain ends: a
+// feeder that found the backlog full finds all of it free again, and
+// the lock is taken once per drain rather than once per envelope. fed
+// is the scratch list of those envelopes, returned for reuse.
+func (s *Service) drainShard(idx int, first envelope, q chan envelope, fed []envelope) []envelope {
+	s.count(CtrBatchesFlushed, 1)
+	e, ok := first, true
+	for n := 0; ok; n++ {
+		if e.samples == nil {
+			s.admitShard(idx, e.j)
+		} else if !e.j.isDecided() {
+			s.feedShard(e.j, e.samples)
+			fed = append(fed, e)
+		}
+		if n == cap(q) {
+			break
+		}
+		select {
+		case e, ok = <-q: // closed: the loop's range sees it next
+		default:
+			ok = false
+		}
+	}
+	if len(fed) > 0 {
 		s.mu.Lock()
-		skip := j.withdrawn || j.isDecided()
-		if !skip && e.samples == nil {
-			j.dispatched = time.Now()
+		for i, e := range fed {
+			e.j.pending -= len(e.samples)
+			fed[i] = envelope{} // the scratch list must not pin the feeder's slices
 		}
 		s.mu.Unlock()
-		if skip {
-			continue
-		}
-		if e.samples != nil {
-			s.feedShard(j, e.samples)
-			continue
-		}
-		if j.mon != nil {
-			// Stream job: attached, now fed by later envelopes.
-			continue
-		}
+	}
+	return fed
+}
+
+// admitShard handles a job's admission envelope: a stream job is
+// simply attached (later envelopes feed it), a simulation job goes to
+// the worker pool.
+func (s *Service) admitShard(idx int, j *job) {
+	if j.journaled != nil {
+		<-j.journaled // journal-before-dispatch, see job.journaled
+	}
+	s.mu.Lock()
+	skip := j.withdrawn || j.isDecided()
+	if !skip {
+		j.dispatched = time.Now()
+	}
+	s.mu.Unlock()
+	if !skip && j.mon == nil {
 		s.dispatch(idx, j)
 	}
 }
@@ -495,10 +536,7 @@ func (s *Service) feedShard(j *job, samples []StreamSample) {
 			fired = true
 		}
 	}
-	s.mu.Lock()
-	j.pending -= len(samples)
-	s.mu.Unlock()
-	if fired && !j.isDecided() {
+	if fired {
 		s.decide(j, Verdict{
 			JobID:   j.spec.ID,
 			Status:  VerdictOK,
@@ -703,8 +741,8 @@ func (s *Service) Pending() []string {
 	return out
 }
 
-// Drain performs a graceful shutdown: stop admitting, flush the
-// batcher, drain every shard queue, wait for every in-flight run,
+// Drain performs a graceful shutdown: stop admitting, drain every
+// shard queue, wait for every in-flight run,
 // finalize retry-parked jobs with their latest outcome, and close out
 // still-undecided stream jobs with a no-hang verdict — so after Drain
 // returns nil, every job ever admitted has a queryable verdict. The
@@ -725,7 +763,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.batcher.close()
 		for _, q := range s.shards {
 			close(q)
 		}

@@ -33,6 +33,50 @@ func simJob(id string, seed int64) JobSpec {
 		Platform: "tardis", Fault: "computation", Seed: seed}
 }
 
+// waitUntil polls cond for up to five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// pinnedService starts a one-worker, one-shard service whose shard loop
+// is wedged: one gated run occupies the worker and a second job is
+// stuck in the loop's hand-off to the pool, so every envelope offered
+// afterwards stays in the shard queue until release is called. setup
+// runs before the wedge (admit the stream jobs a test wants attached).
+func pinnedService(t *testing.T, cfg Config, setup func(*Service)) (s *Service, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	cfg.Run = func(rc experiment.RunConfig) experiment.RunResult {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-gate
+		return fakeRun(rc)
+	}
+	cfg.Workers, cfg.Shards = 1, 1
+	s = New(cfg)
+	if setup != nil {
+		setup(s)
+	}
+	if err := s.Submit(simJob("pin-worker", 1)); err != nil {
+		t.Fatalf("pin: %v", err)
+	}
+	<-started
+	if err := s.Submit(simJob("pin-loop", 2)); err != nil {
+		t.Fatalf("pin: %v", err)
+	}
+	waitUntil(t, "the shard loop to take the second pin job", func() bool { return len(s.shards[0]) == 0 })
+	var once sync.Once
+	return s, func() { once.Do(func() { close(gate) }) }
+}
+
 func TestSubmitValidationAndDuplicates(t *testing.T) {
 	s := New(Config{Run: fakeRun})
 	defer s.Close()
@@ -82,7 +126,7 @@ func TestQuotaReject(t *testing.T) {
 	}
 	defer func() { once.Do(func() { close(gate) }) }()
 
-	s := New(Config{Run: slow, Workers: 1, MaxJobs: 2, BatchSize: 1})
+	s := New(Config{Run: slow, Workers: 1, MaxJobs: 2})
 	defer s.Close()
 
 	if err := s.Submit(simJob("q1", 1)); err != nil {
@@ -107,45 +151,122 @@ func TestQuotaReject(t *testing.T) {
 }
 
 func TestBackpressureSlowConsumer(t *testing.T) {
-	// Every stage is made tiny and the single worker never finishes, so
-	// a burst must fill worker → shard queue → batcher input and turn
-	// into ErrBusy at admission instead of unbounded buffering.
-	gate := make(chan struct{})
-	var once sync.Once
-	stuck := func(rc experiment.RunConfig) experiment.RunResult {
-		<-gate
-		return fakeRun(rc)
-	}
-	defer func() { once.Do(func() { close(gate) }) }()
+	// The single worker never finishes, so the shard loop wedges handing
+	// it the next job and a burst must fill the (tiny) shard queue and
+	// turn into ErrBusy at admission instead of unbounded buffering.
+	s, release := pinnedService(t, Config{MaxJobs: 100, ShardDepth: 2}, nil)
+	defer s.Close()
+	defer release()
 
-	s := New(Config{
-		Run: stuck, Workers: 1, Shards: 1, MaxJobs: 100,
-		IngestDepth: 2, ShardDepth: 1, BatchSize: 1, BatchDelay: time.Millisecond,
+	for i := 0; i < 2; i++ {
+		if err := s.Submit(simJob(fmt.Sprintf("bp%d", i), int64(i))); err != nil {
+			t.Fatalf("submit %d into a queue with room: %v", i, err)
+		}
+	}
+	if err := s.Submit(simJob("bp2", 2)); !errors.Is(err, ErrBusy) {
+		t.Fatalf("submit into a full shard queue: %v, want ErrBusy", err)
+	}
+	if got := s.Counters().Counter(CtrJobsRejected); got != 1 {
+		t.Errorf("jobs_rejected = %d, want 1", got)
+	}
+	if h := s.Health(); len(h.ShardDepths) != 1 || h.ShardDepths[0] != 2 {
+		t.Errorf("health shard depths = %v, want [2]", h.ShardDepths)
+	}
+	// The refused job was never resident: once the consumer moves again
+	// the same submission is admitted and everything gets its verdict.
+	release()
+	for _, id := range []string{"pin-worker", "pin-loop", "bp0", "bp1"} {
+		if _, err := s.Wait(context.Background(), id); err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+	}
+	if err := s.Submit(simJob("bp2", 2)); err != nil {
+		t.Fatalf("resubmit after the queue drained: %v", err)
+	}
+}
+
+// TestOfferRejectsWhenShardQueueFull: samples meet the same bound as
+// jobs, are counted as rejected, and leave the job's backlog untouched.
+func TestOfferRejectsWhenShardQueueFull(t *testing.T) {
+	s, release := pinnedService(t, Config{ShardDepth: 2}, func(s *Service) {
+		if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
+			t.Fatalf("stream submit: %v", err)
+		}
 	})
 	defer s.Close()
-
-	var busy bool
-	for i := 0; i < 50 && !busy; i++ {
-		err := s.Submit(simJob(fmt.Sprintf("bp%d", i), int64(i)))
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrBusy):
-			busy = true
-		default:
-			t.Fatalf("submit %d: %v", i, err)
+	defer release()
+	batch := []StreamSample{{TUS: 1, Scrout: 0.5}, {TUS: 2, Scrout: 0.25}}
+	for i := 0; i < 2; i++ {
+		if err := s.Feed("f", batch); err != nil {
+			t.Fatalf("feed %d into a queue with room: %v", i, err)
 		}
-		// Give the batcher a beat to move envelopes downstream so the
-		// stall point is genuinely the saturated pipeline, not a race
-		// on the input channel.
-		time.Sleep(time.Millisecond)
 	}
-	if !busy {
-		t.Fatal("50 submissions into a 1-worker stuck pipeline never saw ErrBusy")
+	if err := s.Feed("f", batch); !errors.Is(err, ErrBusy) {
+		t.Fatalf("feed into a full shard queue: %v, want ErrBusy", err)
 	}
-	if s.Counters().Counter(CtrJobsRejected) == 0 {
-		t.Error("jobs_rejected counter not incremented")
+	snap := s.Counters()
+	if in, out := snap.Counter(CtrSamplesIn), snap.Counter(CtrSamplesDropped); in != 4 || out != 2 {
+		t.Errorf("samples ingested/rejected = %d/%d, want 4/2", in, out)
 	}
-	once.Do(func() { close(gate) })
+	s.mu.Lock()
+	pending := s.jobs["f"].pending
+	s.mu.Unlock()
+	if pending != 4 {
+		t.Errorf("backlog after a refused feed = %d samples, want 4", pending)
+	}
+}
+
+// TestShardDrainLocksOncePerDrain: a drain of k sample envelopes runs
+// them all without taking mu and then releases their backlog together —
+// a constant number of acquisitions, however many envelopes were queued.
+func TestShardDrainLocksOncePerDrain(t *testing.T) {
+	s := New(Config{Run: fakeRun, Shards: 1})
+	defer s.Close()
+	if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	const k, n = 8, 64
+	q := make(chan envelope, k)
+	s.mu.Lock()
+	j := s.jobs["f"]
+	for i := 0; i < k; i++ {
+		samples := make([]StreamSample, n)
+		for m := range samples {
+			samples[m] = StreamSample{TUS: int64(i*n + m), Scrout: float64(1+m%5) / 6}
+		}
+		q <- envelope{j: j, samples: samples}
+		j.pending += n // what Feed accounts at admission
+	}
+	// mu stays held: a drain that needed it per envelope would stop at
+	// the first one.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.drainShard(0, <-q, q, nil)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(q) > 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatalf("drain stopped with %d of %d envelopes queued: it takes mu per envelope", len(q), k)
+		}
+	}
+	select {
+	case <-done:
+		s.mu.Unlock()
+		t.Fatal("drain finished while mu was held: the backlog was never released")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if j.pending != k*n {
+		t.Errorf("backlog released before the drain ended: %d, want %d", j.pending, k*n)
+	}
+	s.mu.Unlock()
+	<-done
+	s.mu.Lock()
+	pending := j.pending
+	s.mu.Unlock()
+	if pending != 0 || j.mon.Samples() != k*n {
+		t.Errorf("after the drain: backlog %d (want 0), monitor saw %d samples (want %d)", pending, j.mon.Samples(), k*n)
+	}
 }
 
 func TestDrainDeliversAllVerdicts(t *testing.T) {
@@ -153,7 +274,7 @@ func TestDrainDeliversAllVerdicts(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return fakeRun(rc)
 	}
-	s := New(Config{Run: slow, Workers: 2, BatchDelay: time.Millisecond})
+	s := New(Config{Run: slow, Workers: 2})
 
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -196,7 +317,7 @@ func TestDrainDeliversAllVerdicts(t *testing.T) {
 }
 
 func TestStreamJobDetectsHang(t *testing.T) {
-	s := New(Config{Run: fakeRun, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun})
 	defer s.Close()
 
 	if err := s.Submit(JobSpec{ID: "feeder", Stream: true}); err != nil {
@@ -240,13 +361,15 @@ func TestStreamJobDetectsHang(t *testing.T) {
 }
 
 func TestStreamBacklogBound(t *testing.T) {
-	s := New(Config{Run: fakeRun, StreamBacklog: 10, BatchDelay: time.Hour, BatchSize: 1 << 20, IngestDepth: 1 << 10})
+	// The wedged shard loop leaves fed samples queued, so the job's
+	// backlog never drains and the per-job bound must trip.
+	s, release := pinnedService(t, Config{StreamBacklog: 10}, func(s *Service) {
+		if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	})
 	defer s.Close()
-	if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	// BatchDelay=1h and huge BatchSize pin samples in the ingest stage,
-	// so pending never drains and the per-job bound must trip.
+	defer release()
 	batch := make([]StreamSample, 6)
 	if err := s.Feed("f", batch); err != nil {
 		t.Fatalf("first feed: %v", err)
@@ -259,6 +382,17 @@ func TestStreamBacklogBound(t *testing.T) {
 	}
 	if err := s.Feed("f", nil); err != nil {
 		t.Fatalf("empty feed: %v", err)
+	}
+	// Once the shard moves again the backlog is released and the same
+	// batch is welcome.
+	release()
+	waitUntil(t, "the backlog to be released", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs["f"].pending == 0
+	})
+	if err := s.Feed("f", batch); err != nil {
+		t.Fatalf("feed after release: %v", err)
 	}
 }
 
@@ -284,8 +418,6 @@ func TestManyJobsSmoke(t *testing.T) {
 		Run:        fakeRun,
 		Workers:    4,
 		Shards:     3,
-		BatchSize:  4,
-		BatchDelay: time.Millisecond,
 		ShardDepth: 8,
 	})
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"parastack/internal/detect"
 	"parastack/internal/results"
 )
 
@@ -50,7 +51,7 @@ func TestRecoverClosesBadAlphaStreamJob(t *testing.T) {
 		journalLine(t, JournalKindAdmit, "bad", &bad, nil),
 		journalLine(t, JournalKindAdmit, "good", &good, nil),
 	}}
-	s := New(Config{Run: fakeRun, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun})
 	defer s.Close()
 	if _, err := s.Recover(jnl); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -73,7 +74,7 @@ func TestRecoverClosesBadAlphaStreamJob(t *testing.T) {
 
 func TestFeedRejectsBadSamples(t *testing.T) {
 	const backlog = 8
-	s := New(Config{Run: fakeRun, StreamBacklog: backlog, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun, StreamBacklog: backlog})
 	defer s.Close()
 	if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -102,7 +103,7 @@ func TestFeedRejectsBadSamples(t *testing.T) {
 // -0 is a legal sample and must come out of the model as +0, so the
 // threshold in verdict JSON does not depend on the zero's sign.
 func TestFeedNormalisesNegativeZero(t *testing.T) {
-	s := New(Config{Run: fakeRun, BatchDelay: time.Millisecond})
+	s := New(Config{Run: fakeRun})
 	defer s.Close()
 	if err := s.Submit(JobSpec{ID: "f", Stream: true}); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -136,7 +137,7 @@ func TestFeedNormalisesNegativeZero(t *testing.T) {
 // JSON carries neither NaN nor Inf, so over the socket the reachable
 // bad value is a negative one.
 func TestServerFeedRejectsBadSample(t *testing.T) {
-	svc, _, cl := startServer(t, Config{BatchDelay: time.Millisecond})
+	svc, _, cl := startServer(t, Config{})
 	js := JobSpec{ID: "feed", Stream: true}
 	if resp, err := cl.Do(Request{Op: OpSubmit, Job: &js}); err != nil || !resp.OK {
 		t.Fatalf("submit: %+v err=%v", resp, err)
@@ -193,5 +194,44 @@ func TestShardOfMatchesFNV(t *testing.T) {
 				t.Errorf("shardOf(%q, %d) = %d, hash/fnv gives %d", id, shards, got, want)
 			}
 		}
+	}
+}
+
+func TestStreamMonitorFiresOnStreak(t *testing.T) {
+	sm := NewStreamMonitor(0, 0)
+	// Healthy phase: varied Scrout keeps the streak broken.
+	for i := 0; i < 200; i++ {
+		if rep := sm.Ingest(StreamSample{TUS: int64(i), Scrout: float64(1+i%5) / 6}); rep != nil {
+			t.Fatalf("verdict during healthy phase at sample %d", i)
+		}
+	}
+	// Hang phase: zeros below the threshold must eventually verify.
+	var fired *int
+	for i := 0; i < 200; i++ {
+		if rep := sm.Ingest(StreamSample{TUS: int64(1000 + i), Scrout: 0}); rep != nil {
+			fired = &i
+			if rep.Type != detect.HangCommunication {
+				t.Errorf("stream report type = %v, want communication", rep.Type)
+			}
+			if rep.Suspicions < 2 {
+				t.Errorf("suspicion streak = %d, want a multi-sample streak", rep.Suspicions)
+			}
+			break
+		}
+	}
+	if fired == nil {
+		t.Fatal("200 zero samples never produced a verdict")
+	}
+	if sm.Report() == nil {
+		t.Fatal("Report() nil after a verdict")
+	}
+	// Post-verdict samples are counted but don't change the report.
+	before := sm.Report()
+	sm.Ingest(StreamSample{TUS: 9999, Scrout: 1})
+	if sm.Report() != before {
+		t.Error("post-verdict sample replaced the report")
+	}
+	if sm.Samples() != 200+*fired+1+1 {
+		t.Errorf("Samples() = %d, want %d", sm.Samples(), 200+*fired+2)
 	}
 }

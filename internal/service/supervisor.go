@@ -171,12 +171,12 @@ func (s *Service) requeue(j *job, v Verdict) bool {
 	return true
 }
 
-// refire re-enters a requeued job into the ingest pipeline when its
-// backoff expires. Offers happen under mu (the Submit rule: Drain
-// flips draining under the same lock before closing the batcher, so a
-// refire can never hit a closed ingest channel); a saturated ingest
-// stage re-arms the timer without consuming an attempt — backpressure
-// delays a retry, it doesn't spend it.
+// refire puts a requeued job back on its shard queue when its backoff
+// expires. Offers happen under mu (the Submit rule: Drain flips
+// draining under the same lock before closing the queues, so a refire
+// can never hit a closed one); a full queue re-arms the timer without
+// consuming an attempt — backpressure delays a retry, it doesn't spend
+// it.
 func (s *Service) refire(j *job) {
 	s.mu.Lock()
 	j.retryTimer = nil
@@ -190,7 +190,7 @@ func (s *Service) refire(j *job) {
 		s.decide(j, last)
 		return
 	}
-	if !s.batcher.offer(envelope{j: j, enq: time.Now()}) {
+	if !s.offer(envelope{j: j, enq: time.Now()}) {
 		j.retryTimer = time.AfterFunc(s.cfg.Retry.BaseDelay, func() { s.refire(j) })
 		s.mu.Unlock()
 		return

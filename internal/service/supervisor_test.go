@@ -102,7 +102,7 @@ func TestTransientFailureRetriedUntilSuccess(t *testing.T) {
 		}
 		return fakeRun(rc)
 	}
-	s := New(Config{Run: flaky, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: flaky, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1})
 	defer s.Close()
 	if err := s.Submit(simJob("flaky", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -134,7 +134,7 @@ func TestRetriesExhaustedYieldFailedVerdict(t *testing.T) {
 		calls.Add(1)
 		panic("always broken")
 	}
-	s := New(Config{Run: boom, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: boom, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1})
 	defer s.Close()
 	if err := s.Submit(simJob("doomed", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -168,7 +168,7 @@ func TestStructuralHangFailsFast(t *testing.T) {
 		calls.Add(1)
 		return hangResult(string(waitfor.CauseDeadlock))
 	}
-	s := New(Config{Run: deadlock, Retry: retryPolicyFast(5), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: deadlock, Retry: retryPolicyFast(5), BreakerThreshold: -1})
 	defer s.Close()
 	if err := s.Submit(simJob("dl", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -198,7 +198,7 @@ func TestTransientHangRequeued(t *testing.T) {
 		}
 		return fakeRun(rc)
 	}
-	s := New(Config{Run: stragglerOnce, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: stragglerOnce, Retry: retryPolicyFast(3), BreakerThreshold: -1})
 	defer s.Close()
 	if err := s.Submit(simJob("strag", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -224,7 +224,7 @@ func TestTransientHangKeptWhenAttemptsExhausted(t *testing.T) {
 	straggler := func(rc experiment.RunConfig) experiment.RunResult {
 		return hangResult(string(waitfor.CauseStragglerChain))
 	}
-	s := New(Config{Run: straggler, Retry: retryPolicyFast(2), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: straggler, Retry: retryPolicyFast(2), BreakerThreshold: -1})
 	defer s.Close()
 	if err := s.Submit(simJob("strag2", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -303,7 +303,6 @@ func TestBreakerTripsAndBouncesJobs(t *testing.T) {
 		Run: boom, Retries: -1, Workers: 1, Shards: 1,
 		Retry:            RetryPolicy{MaxAttempts: 1},
 		BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		BatchDelay: time.Millisecond,
 	})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -343,7 +342,7 @@ func TestJobDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	wedged := func(rc experiment.RunConfig) experiment.RunResult { <-gate; return fakeRun(rc) }
-	s := New(Config{Run: wedged, Workers: 1, JobDeadline: 30 * time.Millisecond, BatchDelay: time.Millisecond})
+	s := New(Config{Run: wedged, Workers: 1, JobDeadline: 30 * time.Millisecond})
 	if err := s.Submit(simJob("wedge", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -374,7 +373,7 @@ func TestDrainDeadlineJournalsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	s := New(Config{Run: wedged, Workers: 1, Journal: jnl, BatchDelay: time.Millisecond})
+	s := New(Config{Run: wedged, Workers: 1, Journal: jnl})
 	if err := s.Submit(simJob("stuck", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -13,14 +13,25 @@
 // (conservative parallel-DES) mode; see Engine.SetParallel.
 //
 // In serial mode exactly one simulated process (or event callback) runs
-// at a time; control is handed between the scheduler goroutine and
-// process goroutines over per-shard unbuffered channels, so shared
-// simulation state needs no further locking and every run is
-// reproducible from the engine's random seed. Windowed mode partitions
-// execution into horizon windows bounded by the latency model's
-// lookahead (SetLookahead); within a window shards execute
+// at a time, so shared simulation state needs no further locking and
+// every run is reproducible from the engine's random seed. There is no
+// scheduler goroutine: whoever parks drives. Run starts the global
+// event loop (Engine.drive) on its own goroutine, and every process
+// that sleeps, suspends or exits continues that loop itself — it runs
+// payload callbacks (the MPI deliveries) inline, resumes without any
+// goroutine switch when the next dispatch is its own wake, and
+// otherwise readies the next process with one send on that process's
+// resume channel. Run's goroutine gets the loop back, over one buffered
+// channel, only when the run is over or a closure event (At/After) is
+// due: closures always execute on the goroutine that called Run, so a
+// panicking closure unwinds Run's caller and never a process. Windowed
+// mode partitions execution into horizon windows bounded by the latency
+// model's lookahead (SetLookahead); within a window shards execute
 // independently — by construction they cannot interact before the
-// horizon — and the results remain bit-identical to the serial order.
+// horizon — under the same protocol, one shard's queue at a time
+// (shard.runLoop), and the results remain bit-identical to the serial
+// order. Both executors hand control to a process through the same
+// helper (handoff).
 //
 // Virtual time is represented as time.Duration offsets from the start
 // of the simulation. Sleeping, blocking on a condition, and waking
@@ -127,6 +138,19 @@ type Engine struct {
 	running  bool
 	shutdown bool
 
+	// Global-loop state (see drive). until and quota bound the current
+	// Run; stepping is the shard whose popped event is executing (still
+	// in heads, under a stale key); group/groupAt is the cursor through
+	// a popped group wake; idle carries the one token that passes the
+	// loop back to Run's goroutine (and acknowledges Shutdown orders).
+	until    Time
+	quota    int64
+	stepping *shard
+	group    *Event
+	groupAt  int
+	idle     chan struct{}
+	rests    uint64 // times Run's goroutine blocked on idle (pinned by tests)
+
 	// ctx is the shard whose event (or setup code) is currently
 	// executing in a single-threaded phase; engine-level scheduling
 	// APIs (At, After, Spawn, WakeAt) stamp events with it. During
@@ -189,23 +213,17 @@ func NewEngine(seed int64) *Engine {
 		seed:    seed,
 		rec:     obs.Disabled,
 		winDone: make(chan struct{}, 1),
+		idle:    make(chan struct{}, 1),
 	}
 	e.ctx = e.shardFor(0)
 	return e
 }
 
 // shardFor returns shard id, growing the shard table as needed. Shards
-// persist across Reset so their free lists and park channels stay warm
-// for the next run.
+// persist across Reset so their free lists stay warm for the next run.
 func (e *Engine) shardFor(id int32) *shard {
 	for int(id) >= len(e.shards) {
-		s := &shard{
-			id:     int32(len(e.shards)),
-			eng:    e,
-			parked: make(chan struct{}),
-			pos:    -1,
-		}
-		e.shards = append(e.shards, s)
+		e.shards = append(e.shards, &shard{id: int32(len(e.shards)), eng: e, pos: -1})
 	}
 	return e.shards[id]
 }
@@ -362,12 +380,18 @@ func (e *Engine) schedulePost(src, dst *shard, t Time) *Event {
 // counter, because cross-shard wakers' identities (who completed the
 // collective last) depend on execution order. The canonical stamp
 // makes the event's queue position a pure function of mode-independent
-// data, so serial and windowed runs order it identically. The event is
-// allocated from src — the waker's context — since p's shard may be
-// executing concurrently.
+// data, so serial and windowed runs order it identically. The event
+// comes from p's own shard's pool — the one its firing recycles it into,
+// so neither pool drains into the other — except in a multi-worker
+// window, where p's shard may be executing concurrently and the waker's
+// pool is the only one this goroutine owns.
 func (e *Engine) scheduleWake(src *shard, p *Proc, t Time) *Event {
 	s := p.shard
-	ev := src.alloc()
+	pool := s
+	if e.inWindow && e.workers > 1 {
+		pool = src
+	}
+	ev := pool.alloc()
 	ev.when = t
 	ev.src = s.id
 	ev.seq = wakeSeqBit | p.localID
@@ -657,52 +681,144 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // windowed conservative executor; results are bit-identical to the
 // serial loop.
 func (e *Engine) Run(until Time) Time {
-	if e.workers > 0 && e.lookahead > 0 {
-		return e.runWindowed(until)
+	if e.running {
+		panic("sim: Run while running")
 	}
-	return e.runSerial(until)
-}
-
-func (e *Engine) runSerial(until Time) Time {
 	e.stopped = false
 	e.running = true
+	e.until = until
 	defer func() {
 		e.running = false
+		e.inWindow = false
+		e.curH = 0
+		// Only a panic unwinding mid-window leaves shards here: zero their
+		// horizons so parked ranks acknowledge Shutdown instead of
+		// re-entering a window loop nobody will finish.
+		for _, s := range e.active {
+			s.horizon = 0
+		}
 		e.ctx = e.shards[0]
 		e.syncObs()
 	}()
-	for len(e.heads) > 0 && !e.stopped {
-		if until > 0 && e.heads[0].when > until {
-			e.now = until
-			return e.now
-		}
-		e.runOneStep()
+	if e.workers > 0 && e.lookahead > 0 {
+		return e.runWindowed(until)
 	}
+	e.runSerial(math.MaxInt64)
 	return e.now
 }
 
-// runOneStep pops and fires the single earliest event in the system:
-// the serial loop's body, also used by the windowed executor whenever
-// the system shard holds the global minimum.
-func (e *Engine) runOneStep() {
-	s := e.headsPopMin()
-	s.active = true
-	next := s.queue.popMin()
-	if next.canceled {
-		s.recycle(next)
-		e.headsRestore(s)
-		return
+// runSerial owns the global event loop on Run's goroutine until the run
+// is over or quota events have been popped (the windowed executor steps
+// a system-shard event through it with quota 1). drive returns here
+// only to rest or after handing the loop to a process; the loop then
+// travels from process to process without this goroutine and comes back
+// through idle — once per run for a program of processes and payload
+// callbacks alone, once per closure event otherwise.
+func (e *Engine) runSerial(quota int64) {
+	e.quota = quota
+	for e.drive(nil) == loopHanded {
+		e.rests++
+		<-e.idle
 	}
-	if next.when > e.now {
-		e.now = next.when
+}
+
+// drive continues the global event loop on the calling goroutine:
+// Run's (self == nil) or that of the process which just parked or
+// exited (self). Whoever parks drives — it pops the earliest event in
+// the system and runs payload callbacks inline, hands control to the
+// next dispatched process (see handoff: no switch when that is self,
+// one resume send otherwise), and where the loop needs Run's goroutine
+// — the run is over (queue empty, Stop, until, quota) or a closure
+// event is due — a driving process signals idle and stays parked.
+//
+// Closure events (At/After) run on Run's goroutine only, so a
+// panicking closure unwinds Run's caller rather than a process. The
+// popped shard stays in the merge heap under its stale key (active)
+// while its event executes and is re-keyed once, by whoever drives
+// next. A group wake is a cursor on the engine, so every waiter of a
+// popped group is dispatched, in slice order, before anything else is
+// considered — Stop included.
+func (e *Engine) drive(self *Proc) loopAction {
+	for {
+		if g := e.group; g != nil {
+			s, q, t := e.ctx, g.procs[e.groupAt], g.when
+			e.groupAt++
+			s.fired++
+			if e.groupAt == len(g.procs) {
+				e.group = nil
+				s.recycle(g)
+			}
+			return handoff(q, self, t)
+		}
+		if s := e.stepping; s != nil {
+			e.stepping = nil
+			s.active = false
+			if len(s.queue) == 0 {
+				e.headsRemove(s)
+			} else {
+				e.headsFix(s)
+			}
+		}
+		if e.quota == 0 || e.stopped || len(e.heads) == 0 {
+			return e.rest(self)
+		}
+		s := e.heads[0].s
+		ev := s.queue[0]
+		if e.until > 0 && ev.when > e.until {
+			e.now = e.until
+			return e.rest(self)
+		}
+		if self != nil && ev.fn != nil && !ev.canceled {
+			return e.rest(self) // a canceled closure is anyone's to skip
+		}
+		s.queue.popMin()
+		s.active = true
+		e.stepping = s
+		e.quota--
+		if ev.canceled {
+			s.recycle(ev)
+			continue
+		}
+		if ev.when > e.now {
+			e.now = ev.when
+		}
+		s.now = ev.when
+		e.ctx = s
+		switch {
+		case ev.proc != nil:
+			// Recycled before the resume send: afterwards the event, like
+			// everything else, belongs to the dispatched process.
+			q, t := ev.proc, ev.when
+			s.fired++
+			s.recycle(ev)
+			return handoff(q, self, t)
+		case ev.procs != nil:
+			// One heap pop releases the whole waiter list; each dispatch
+			// counts as a fired event, like the one-event-per-waiter form
+			// the windowed mode uses.
+			e.group, e.groupAt = ev, 0
+		case ev.pfn != nil:
+			s.fired++
+			ev.pfn(ev.when, ev.parg)
+			s.recycle(ev)
+		default:
+			s.fired++
+			ev.fn()
+			// Callback events are recycled only after the callback returns,
+			// so a Cancel from within it stays a safe no-op.
+			s.recycle(ev)
+		}
 	}
-	s.now = next.when
-	e.ctx = s
-	s.fire(next)
-	// Recycled only after the callback returns, so a Cancel from
-	// within the event's own callback stays a safe no-op.
-	s.recycle(next)
-	e.headsRestore(s)
+}
+
+// rest brings the global loop to rest on Run's goroutine: a driving
+// process passes it back through idle and stays parked.
+func (e *Engine) rest(self *Proc) loopAction {
+	if self == nil {
+		return loopDone
+	}
+	e.idle <- struct{}{}
+	return loopHanded
 }
 
 // RunAll runs with no time limit.
@@ -734,9 +850,9 @@ func (e *Engine) Shutdown() {
 			// Hand the goroutine control; park/Sleep (or the spawn
 			// wrapper, for never-started processes) observes the
 			// shutdown flag and unwinds via a procExit panic; the spawn
-			// wrapper recovers it and parks back one final time.
+			// wrapper recovers it and acknowledges on idle.
 			p.resume <- struct{}{}
-			<-p.shard.parked
+			<-e.idle
 		}
 	}
 	e.syncObs()
@@ -761,6 +877,7 @@ func (e *Engine) Reset(seed int64) {
 		s.reset()
 	}
 	e.heads = e.heads[:0]
+	e.stepping, e.group, e.groupAt = nil, nil, 0
 	for i, p := range e.procs {
 		// All processes are Done after Shutdown; their goroutines have
 		// exited, so the structs (and resume channels) are reusable.

@@ -141,19 +141,23 @@ func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Pro
 			if !e.inWindow && e.rec.Enabled() {
 				e.rec.Event(e.now, EvProcStop, obs.Int("proc", int64(p.ID)), obs.Str("name", p.Name))
 			}
-			// Hand control back for good: inside a window the exiting
-			// goroutine carries the chain forward — its own shard's loop,
-			// then further active shards — exactly like a park without a
-			// resume (see Engine.runChain).
-			if sh := p.shard; sh.horizon > 0 {
-				if _, act := sh.runLoop(nil); act == loopDone {
+			// Hand control on for good, exactly like a park that is never
+			// resumed: acknowledge a Shutdown order, or continue the loop
+			// this goroutine owns — inside a window its shard's, then
+			// further active shards (see Engine.runChain); otherwise the
+			// global one (p is Done, so it can only hand off or come to rest).
+			switch sh := p.shard; {
+			case e.shutdown:
+				e.idle <- struct{}{}
+			case sh.horizon > 0:
+				if sh.runLoop(nil) == loopDone {
 					e.runChain(sh)
 				}
-			} else {
-				p.shard.parked <- struct{}{}
+			default:
+				e.drive(p)
 			}
 		}()
-		<-p.resume // wait for the scheduler to start us
+		<-p.resume // wait for the start event's handoff
 		if e.shutdown {
 			panic(procExit{})
 		}
@@ -199,48 +203,55 @@ func (p *Proc) SpawnNow(name string, body func(*Proc)) *Proc {
 	return p.eng.spawn(p.shard, p.shard, name, p.now, body)
 }
 
-// dispatch transfers control to p at virtual time t and blocks the
-// driving goroutine until p parks again (sleeps, suspends, or
-// terminates).
-func (e *Engine) dispatch(p *Proc, t Time) {
-	if p.state == ProcDone {
-		panic("sim: dispatching terminated process " + p.Name)
+// handoff gives control to q at virtual time t on behalf of the loop
+// owner self (nil on Run's goroutine): the one way a process is made
+// to run, in both executors. When q is the owner itself — its own wake
+// came up next — it simply keeps going, with no goroutine switch;
+// otherwise q is readied with one resume send, after which the caller
+// must read no engine, shard or event state: q owns it all.
+func handoff(q, self *Proc, t Time) loopAction {
+	if q.state == ProcDone {
+		panic("sim: dispatching terminated process " + q.Name)
 	}
-	p.state = ProcRunning
-	p.wake = nil
-	p.now = t
-	p.resume <- struct{}{}
-	<-p.shard.parked
+	q.state = ProcRunning
+	q.wake = nil
+	q.now = t
+	if q == self {
+		return loopSelf
+	}
+	q.resume <- struct{}{}
+	return loopHanded
 }
 
-// park gives up control and blocks until resumed. Inside a window the
-// parking goroutine itself carries the shard's event loop forward
-// (chained handoff, see shard.runLoop): it either resumes inline when
-// its own wake is the shard's next event, hands control straight to
-// the next dispatched process, or — having exhausted the window —
-// signals the coordinator. Outside windows control returns to the
-// serial driver through the parked channel. During Shutdown the resume
-// is a termination order: park unwinds the goroutine with a procExit
-// panic so the caller's defers still run.
+// park gives up control and blocks until resumed. Whoever parks
+// drives: the parking goroutine itself carries the event loop forward
+// — the global one (Engine.drive), or inside a window its shard's
+// (shard.runLoop, then Engine.runChain once that is exhausted). It
+// resumes inline when its own wake is the next dispatch, hands control
+// straight to the next dispatched process otherwise, and signals Run's
+// goroutine only when the loop comes to rest. During Shutdown the park
+// is an acknowledgement and the resume a termination order: park
+// unwinds the goroutine with a procExit panic so the caller's defers
+// still run.
 func (p *Proc) park(state ProcState) {
 	p.state = state
-	sh := p.shard
-	if sh.horizon > 0 {
-		t, act := sh.runLoop(p)
-		switch act {
-		case loopSelf:
-			p.state = ProcRunning
-			p.wake = nil
-			p.now = t
-			return
-		case loopDone:
-			p.eng.runChain(sh)
+	sh, e := p.shard, p.eng
+	act := loopHanded
+	switch {
+	case e.shutdown:
+		e.idle <- struct{}{}
+	case sh.horizon > 0:
+		if act = sh.runLoop(p); act == loopDone {
+			e.runChain(sh)
 		}
-	} else {
-		sh.parked <- struct{}{}
+	default:
+		act = e.drive(p)
+	}
+	if act == loopSelf {
+		return
 	}
 	<-p.resume
-	if p.eng.shutdown {
+	if e.shutdown {
 		panic(procExit{})
 	}
 }
@@ -280,7 +291,7 @@ func (p *Proc) sleepTo(t Time) {
 	// goroutine handoff entirely — account for the phantom event and keep
 	// running. This is the batching that makes windows fast: a rank's
 	// compute/communicate cycle executes back-to-back on a hot stack
-	// instead of round-tripping through the scheduler per sleep.
+	// instead of going through the shard's queue per sleep.
 	if s.horizon > 0 && t < s.horizon && (len(s.queue) == 0 || keyBefore(t, s.id, s.seq, s.queue[0])) {
 		s.fired++
 		s.noteDepth(len(s.queue) + 1)

@@ -109,9 +109,9 @@ func (h *eventHeap) popMin() *Event {
 // shard's queue holds only the events of one logical process group and
 // stays a handful of entries deep regardless of world size.
 //
-// Each shard owns its event free list and slab, its sequence counter,
-// and its park channel, so during windowed execution one worker can
-// drive a shard without touching any other shard's memory.
+// Each shard owns its event free list and slab and its sequence
+// counter, so during windowed execution one worker can drive a shard
+// without touching any other shard's memory.
 type shard struct {
 	id  int32
 	eng *Engine
@@ -125,11 +125,9 @@ type shard struct {
 	free []*Event // recycled events
 	slab []Event  // slab backing for new events (batch allocation)
 
-	parked chan struct{} // handoff from this shard's running proc back to its driver
-
 	// Head-heap bookkeeping (engine-owned, coordinator-only).
 	pos    int32 // index in Engine.heads; -1 when absent
-	active bool  // popped out of heads for the current dispatch/window
+	active bool  // held out of heads maintenance: stepping (stale key) or in a window
 
 	// Windowed-execution state.
 	horizon   Time // end (exclusive) of the window being executed; 0 outside
@@ -191,15 +189,17 @@ func (s *shard) noteDepth(n int) {
 	}
 }
 
-// loopAction is how one runLoop invocation ended.
+// loopAction is how one invocation of an event loop (Engine.drive, the
+// global serial loop; shard.runLoop, one shard's window) ended.
 type loopAction int
 
 const (
-	// loopDone: the window is exhausted (no more events before the
-	// horizon); the calling goroutine is the shard's last runner.
+	// loopDone: nothing is left for this loop (the run or step quota is
+	// over; the window is exhausted) and the calling goroutine is its
+	// last owner.
 	loopDone loopAction = iota
-	// loopHanded: control of the loop was handed to another process's
-	// goroutine; the caller must not touch shard state again.
+	// loopHanded: control of the loop was handed to another goroutine;
+	// the caller must not touch engine, shard or event state again.
 	loopHanded
 	// loopSelf: the next event is the calling process's own wake; it
 	// resumes inline without a goroutine switch.
@@ -211,15 +211,14 @@ const (
 // is non-nil) the next event is self's own wake. It runs on whichever
 // goroutine currently owns the shard: a window chain starts it (see
 // Engine.runChain), and every parking or exiting process continues it
-// — a direct proc-to-proc handoff that costs one goroutine switch per
-// dispatched event instead of the serial engine's round trip through
-// a driver. Callback events run inline on the owning goroutine with
-// no switch at all. After a handoff the previous owner touches no
-// shard state (the fired event is recycled before the resume send),
-// so the invariant "one goroutine owns the shard" holds even with
-// parallel workers. The caller must have set s.horizon; whoever gets
+// — the window-bounded, per-shard form of Engine.drive's protocol: one
+// goroutine switch per cross-process dispatch (see handoff), callback
+// events inline on the owning goroutine with none. After a handoff the
+// previous owner touches no shard state (the fired event is recycled
+// before the resume send), so the invariant "one goroutine owns the
+// shard" holds even with parallel workers. The caller must have set s.horizon; whoever gets
 // loopDone owns the shard's completion (Engine.shardDone).
-func (s *shard) runLoop(self *Proc) (Time, loopAction) {
+func (s *shard) runLoop(self *Proc) loopAction {
 	for len(s.queue) > 0 {
 		ev := s.queue[0]
 		if ev.when >= s.horizon {
@@ -232,24 +231,11 @@ func (s *shard) runLoop(self *Proc) (Time, loopAction) {
 		}
 		s.now = ev.when
 		switch {
-		case ev.proc == self && self != nil:
-			t := ev.when
-			s.fired++
-			s.recycle(ev)
-			return t, loopSelf
 		case ev.proc != nil:
-			q := ev.proc
-			t := ev.when
+			q, t := ev.proc, ev.when
 			s.fired++
 			s.recycle(ev)
-			if q.state == ProcDone {
-				panic("sim: dispatching terminated process " + q.Name)
-			}
-			q.state = ProcRunning
-			q.wake = nil
-			q.now = t
-			q.resume <- struct{}{}
-			return 0, loopHanded
+			return handoff(q, self, t)
 		case ev.procs != nil:
 			// Group wakes exist only in serial mode (wakeAll fans out
 			// per-waiter whenever the windowed executor is configured).
@@ -264,35 +250,12 @@ func (s *shard) runLoop(self *Proc) (Time, loopAction) {
 			s.recycle(ev)
 		}
 	}
-	return 0, loopDone
-}
-
-// fire executes one event on this shard, counting each dispatch.
-func (s *shard) fire(ev *Event) {
-	switch {
-	case ev.proc != nil:
-		s.fired++
-		s.eng.dispatch(ev.proc, ev.when)
-	case ev.procs != nil:
-		// Group wake: one heap pop releases the whole waiter list. Each
-		// dispatch counts as a fired event so the tally stays identical
-		// to the one-event-per-waiter formulation the windowed mode uses.
-		for _, p := range ev.procs {
-			s.fired++
-			s.eng.dispatch(p, ev.when)
-		}
-	case ev.pfn != nil:
-		s.fired++
-		ev.pfn(ev.when, ev.parg)
-	default:
-		s.fired++
-		ev.fn()
-	}
+	return loopDone
 }
 
 // reset returns the shard to its just-constructed state, draining the
 // queue and inbox into the free list and zeroing clocks, counters, and
-// tallies. Free lists, slabs, and the park channel are retained.
+// tallies. Free lists and slabs are retained.
 func (s *shard) reset() {
 	for len(s.queue) > 0 {
 		s.recycle(s.queue.popMin())
@@ -340,13 +303,10 @@ func headBefore(a, b *headEntry) bool {
 	return a.seq < b.seq
 }
 
-// headsInsert adds shard s (whose queue must be non-empty) to the
-// merge heap keyed by its head event.
-func (e *Engine) headsInsert(s *shard) {
-	head := s.queue[0]
-	h := append(e.heads, headEntry{})
-	i := len(h) - 1
-	ent := headEntry{when: head.when, src: head.src, seq: head.seq, s: s}
+// headsSift seats ent at slot i of the merge heap, sifting in whichever
+// direction its key requires.
+func (e *Engine) headsSift(i int, ent headEntry) {
+	h := e.heads
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !headBefore(&ent, &h[parent]) {
@@ -356,63 +316,6 @@ func (e *Engine) headsInsert(s *shard) {
 		h[i].s.pos = int32(i)
 		i = parent
 	}
-	h[i] = ent
-	s.pos = int32(i)
-	e.heads = h
-}
-
-// headsPopMin removes and returns the shard with the earliest head.
-func (e *Engine) headsPopMin() *shard {
-	h := e.heads
-	min := h[0].s
-	min.pos = -1
-	n := len(h) - 1
-	last := h[n]
-	h[n] = headEntry{}
-	h = h[:n]
-	e.heads = h
-	if n > 0 {
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && headBefore(&h[r], &h[child]) {
-				child = r
-			}
-			if !headBefore(&h[child], &last) {
-				break
-			}
-			h[i] = h[child]
-			h[i].s.pos = int32(i)
-			i = child
-		}
-		h[i] = last
-		last.s.pos = int32(i)
-	}
-	return min
-}
-
-// headsFix re-keys shard s's entry after its head event changed,
-// sifting in whichever direction the new key requires. s must be in
-// the heap and its queue non-empty.
-func (e *Engine) headsFix(s *shard) {
-	h := e.heads
-	i := int(s.pos)
-	head := s.queue[0]
-	ent := headEntry{when: head.when, src: head.src, seq: head.seq, s: s}
-	// Sift up.
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !headBefore(&ent, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].s.pos = int32(i)
-		i = parent
-	}
-	// Sift down.
 	n := len(h)
 	for {
 		child := 2*i + 1
@@ -430,18 +333,44 @@ func (e *Engine) headsFix(s *shard) {
 		i = child
 	}
 	h[i] = ent
-	s.pos = int32(i)
-	e.heads = h
+	ent.s.pos = int32(i)
 }
 
-// headsRestore puts a shard back into the merge heap after a dispatch
-// or window (inserting, re-keying, or leaving it out when empty).
-func (e *Engine) headsRestore(s *shard) {
-	s.active = false
-	if len(s.queue) == 0 {
-		return
+// headsKey re-keys shard s's slot (appended by the caller when s is
+// new to the heap) from its head event; s's queue must be non-empty.
+func (e *Engine) headsKey(s *shard, i int) {
+	head := s.queue[0]
+	e.headsSift(i, headEntry{when: head.when, src: head.src, seq: head.seq, s: s})
+}
+
+// headsInsert adds shard s (whose queue must be non-empty) to the
+// merge heap keyed by its head event.
+func (e *Engine) headsInsert(s *shard) {
+	e.heads = append(e.heads, headEntry{})
+	e.headsKey(s, len(e.heads)-1)
+}
+
+// headsFix re-keys shard s's entry after its head event changed. s
+// must be in the heap and its queue non-empty.
+func (e *Engine) headsFix(s *shard) { e.headsKey(s, int(s.pos)) }
+
+// headsRemove takes shard s out of the merge heap, wherever it sits.
+func (e *Engine) headsRemove(s *shard) {
+	i, n := int(s.pos), len(e.heads)-1
+	s.pos = -1
+	last := e.heads[n]
+	e.heads[n] = headEntry{}
+	e.heads = e.heads[:n]
+	if i < n {
+		e.headsSift(i, last)
 	}
-	e.headsInsert(s)
+}
+
+// headsPopMin removes and returns the shard with the earliest head.
+func (e *Engine) headsPopMin() *shard {
+	s := e.heads[0].s
+	e.headsRemove(s)
+	return s
 }
 
 // onHeadChanged is called after a push into s's queue from a
@@ -450,7 +379,7 @@ func (e *Engine) headsRestore(s *shard) {
 // must be (re)inserted.
 func (e *Engine) onHeadChanged(s *shard, ev *Event) {
 	if s.active {
-		return // will be restored when its dispatch/window completes
+		return // re-keyed when its step or window completes
 	}
 	if s.pos < 0 {
 		e.headsInsert(s)

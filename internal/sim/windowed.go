@@ -21,15 +21,6 @@ package sim
 // source seq) total order makes every heap pop mode- and
 // schedule-independent.
 func (e *Engine) runWindowed(until Time) Time {
-	e.stopped = false
-	e.running = true
-	defer func() {
-		e.running = false
-		e.inWindow = false
-		e.curH = 0
-		e.ctx = e.shards[0]
-		e.syncObs()
-	}()
 	sys := e.shards[0]
 	for len(e.heads) > 0 && !e.stopped {
 		tmin := e.heads[0].when
@@ -42,7 +33,7 @@ func (e *Engine) runWindowed(until Time) Time {
 			// serially, with the whole world quiesced at or beyond its
 			// time. Monitors, detectors, and test callbacks therefore
 			// observe the same world state as in a serial run.
-			e.runOneStep()
+			e.runSerial(1)
 			continue
 		}
 		sysT := maxTime
@@ -60,7 +51,7 @@ func (e *Engine) runWindowed(until Time) Time {
 		if h <= tmin {
 			// Degenerate window (a system event ties the minimum but a
 			// rank event orders first): fall back to one serial step.
-			e.runOneStep()
+			e.runSerial(1)
 			continue
 		}
 		e.runWindow(h)
@@ -151,10 +142,14 @@ func (e *Engine) runWindow(h Time) {
 
 	for _, s := range e.active {
 		s.committed = h
-		e.headsRestore(s)
+		s.active = false
+		if len(s.queue) > 0 {
+			e.headsInsert(s)
+		}
 	}
 	e.windows++
 	e.windowShards += uint64(len(e.active))
+	e.active = e.active[:0]
 }
 
 // runChain drives active shards' event loops until a handoff or the
@@ -185,7 +180,7 @@ func (e *Engine) runChain(carry *shard) {
 		if s == nil {
 			return
 		}
-		if _, act := s.runLoop(nil); act == loopHanded {
+		if s.runLoop(nil) == loopHanded {
 			return
 		}
 		carry = s

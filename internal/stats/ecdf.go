@@ -49,7 +49,15 @@ func (e *ECDF) Grow(n int) {
 // above returns the number of values <= x, which is also the first
 // index holding a value > x.
 func (e *ECDF) above(x float64) int {
-	return sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
+	lo, hi := 0, len(e.sorted)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); e.sorted[mid] > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Insert adds one value in place. It goes after any equal values, so

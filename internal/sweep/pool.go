@@ -64,7 +64,7 @@ func NewPool(opts Options) *Pool {
 				run = experiment.NewRunner().Run
 			}
 			for t := range sp.tasks {
-				rec := sp.p.execute(t.u, &run)
+				rec := sp.p.execute(t.u, run)
 				sp.p.mu.Lock()
 				sp.p.executed++
 				if rec.Status == StatusFailed {

@@ -292,7 +292,7 @@ func (p *pool) run(ctx context.Context, units []unit, sink func(Record)) error {
 				run = experiment.NewRunner().Run
 			}
 			for u := range next {
-				rec := p.execute(u, &run)
+				rec := p.execute(u, run)
 				p.mu.Lock()
 				if p.sink != nil {
 					if err := writeRecord(p.sink, rec); err != nil && p.logErr == nil {
@@ -348,16 +348,14 @@ feed:
 	return ctx.Err()
 }
 
-// execute runs one unit with panic recovery and bounded retry. run
-// points at the worker's executor so a panicked attempt can swap in a
-// fresh Runner (a half-run simulator is not safely resettable).
-func (p *pool) execute(u unit, run *func(experiment.RunConfig) experiment.RunResult) Record {
+// execute runs one unit with panic recovery and bounded retry on the
+// worker's executor. A Runner that a panic unwound through has already
+// shut its half-run simulator down and builds a fresh one on the next
+// attempt (see experiment.Runner.Run).
+func (p *pool) execute(u unit, run func(experiment.RunConfig) experiment.RunResult) Record {
 	var lastErr string
 	for attempt := 1; ; attempt++ {
-		res, err := p.runOnce(u.rc, *run)
-		if err != nil && p.opts.Run == nil {
-			*run = experiment.NewRunner().Run
-		}
+		res, err := p.runOnce(u.rc, run)
 		if err == nil {
 			return Record{Schema: SchemaVersion, Key: u.key, Index: u.index,
 				Status: StatusOK, Attempts: attempt, Result: res}
