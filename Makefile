@@ -30,9 +30,9 @@ bench:
 
 # Regenerate the checked-in performance artifacts: ns/op, allocs/op and
 # events/sec for the engine/monitor/campaign hot paths
-# (BENCH_engine.json), for the rank-count scaling sweep — serial and
-# windowed parallel rows, 256 → 131072 ranks, every events/sec figure
-# averaged over at least three full runs (BENCH_scale.json) — and for
+# (BENCH_engine.json), for the rank-count scaling sweep — one row per
+# world size, 256 → 131072 ranks, every events/sec figure averaged over
+# at least three full runs (BENCH_scale.json) — and for
 # the parastackd daemon pipeline — jobs/sec, p99 ingest latency, stream
 # samples/sec (BENCH_service.json). The big scale rows take minutes
 # each; expect a ~15 minute wall time. See the "Benchmarks" section of
@@ -46,33 +46,31 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
 # Scaling-pass gate: a reduced rank sweep asserting events/sec does not
-# collapse with world size, the steady-state allocation ceilings on the
-# campaign reuse path (see internal/bench/scale_test.go and
-# internal/experiment/runner_test.go), and — under the race detector —
-# the serial-vs-parallel bit-identity smoke at a rank-grouped world
-# size (clean + faulty runs must match the serial engine bit for bit
-# across Parallel=1 and Parallel=4; see parallel_smoke_test.go). The
-# per-sample model refit is pinned allocation-free beside the runner:
-# Add+Fit at a full window, and the daemon's StreamMonitor.Ingest. The
-# runner's own gates ride along: objects and bytes per reused run, the
-# windowed executor's bytes per run against the serial one's, and the
-# goroutine count after runs that panicked.
+# collapse with world size, and the steady-state allocation ceilings on
+# the campaign reuse path (see internal/bench/scale_test.go and
+# internal/experiment/runner_test.go). The per-sample model refit is
+# pinned allocation-free beside the runner: Add+Fit at a full window,
+# and the daemon's StreamMonitor.Ingest. The runner's own gates ride
+# along: objects and bytes per reused run, and the goroutine count
+# after runs that panicked.
 bench-scale-smoke:
 	$(GO) test -run 'TestScaleSmoke$$|TestFaultyRunAllocCeiling$$' -count=1 -v ./internal/bench
-	$(GO) test -run 'TestRunnerSteadyStateAllocs$$|TestWindowedRunAllocCeiling$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
-	$(GO) test -race -run 'TestScaleParallelBitIdentitySmoke$$' -count=1 -v ./internal/bench
 
-# Handoff smoke: the serial executor's loop travels from goroutine to
+# Handoff smoke: the executor's loop travels from goroutine to
 # goroutine (whoever parks drives), so its tests — generated programs
 # whose dispatch log must not depend on how a run is sliced, the
 # closure-on-Run's-goroutine rule, panic and Shutdown paths — run
-# repeatedly under the race detector on one and on four Ps; the daemon's
-# admission → shard → pool pipeline, which has no timer left to hide an
-# ordering bug behind, gets the same treatment.
+# repeatedly under the race detector on one and on four Ps. The MPI
+# layer and the harness keep their simulation state in plain fields,
+# ordered only by those handoffs, so they get the same treatment; so
+# does the daemon's admission → shard → pool pipeline, which has no
+# timer left to hide an ordering bug behind.
 sim-chain-smoke:
 	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial' ./internal/sim
+	$(GO) test -race -count=5 ./internal/mpi ./internal/experiment
 	$(GO) test -race -count=5 ./internal/service
 
 # Kill-and-resume check on the tiny built-in grid: run half the sweep

@@ -27,9 +27,8 @@
 // -bench-json FILE runs the fixed engine/monitor/campaign
 // microbenchmark suite and writes the measurements (ns/op, allocs/op,
 // events/sec) to FILE; -bench-scale-json FILE does the same for the
-// rank-count scaling sweep (256 → 131072 ranks, each size measured on
-// the serial engine and in windowed parallel-DES mode, every figure
-// averaged over at least three full runs); -bench-service-json
+// rank-count scaling sweep (256 → 131072 ranks, every figure averaged
+// over at least three full runs); -bench-service-json
 // FILE does the same for the parastackd service suite (jobs/sec, p99
 // ingest latency, stream samples/sec). See the "Benchmarks" section of
 // README.md for the schema. `make bench-json` regenerates the

@@ -59,9 +59,6 @@ type Result struct {
 	// Ranks is the simulated world size for scaling benchmarks
 	// (BENCH_scale.json); zero for the fixed engine/monitor suite.
 	Ranks int `json:"ranks,omitempty"`
-	// Parallel is the windowed-executor worker count the run used
-	// (experiment.RunConfig.Parallel); zero means the serial engine.
-	Parallel int `json:"parallel,omitempty"`
 	// JobsPerSec and P99IngestNs are populated by the parastackd
 	// service suite (BENCH_service.json): whole-job throughput of a
 	// burst of simulation jobs through the daemon pipeline, and the

@@ -8,13 +8,6 @@
 // per-event cost is independent of N (batched collective wakeups keep
 // the event queue at O(live timers), not O(N) per collective), while a
 // collapse at large N would point at a super-linear hot path.
-//
-// Every world size is measured twice: on the serial engine and in
-// windowed parallel-DES mode (experiment.RunConfig.Parallel = 1 — one
-// chain of lookahead windows; see internal/sim). The paired rows are
-// the serial-vs-parallel comparison: both modes produce bit-identical
-// results (gated by TestSerialParallelBitIdentical and the scale
-// smoke), so any events/sec difference is pure executor overhead.
 package bench
 
 import (
@@ -45,40 +38,33 @@ func scaleParams(ranks int) workload.Params {
 	return p
 }
 
-// ScaleName is the stable benchmark identifier for a rank count and
-// executor mode (workers == 0 is the serial engine).
-func ScaleName(ranks, workers int) string {
-	name := fmt.Sprintf("scale/clean_run_%d_ranks", ranks)
-	if workers > 0 {
-		name += "_parallel"
-	}
-	return name
+// ScaleName is the stable benchmark identifier for a rank count.
+func ScaleName(ranks int) string {
+	return fmt.Sprintf("scale/clean_run_%d_ranks", ranks)
 }
 
-// measureScale measures one (rank count, executor mode) cell of the
-// sweep: clean monitored runs through the same Runner reuse path
-// campaigns use, averaged by measureRun over at least three runs.
-func measureScale(ranks, workers int) Result {
+// measureScale measures one rank count of the sweep: clean monitored
+// runs through the same Runner reuse path campaigns use, averaged by
+// measureRun over at least three runs.
+func measureScale(ranks int) Result {
 	p := scaleParams(ranks)
 	rn := experiment.NewRunner()
-	res := measureRun(ScaleName(ranks, workers), func(i int) uint64 {
+	res := measureRun(ScaleName(ranks), func(i int) uint64 {
 		r := rn.Run(experiment.RunConfig{
 			Params:   p,
 			Platform: noise.Tardis(),
 			PPN:      8,
 			Seed:     int64(i + 1),
 			Monitor:  &core.Config{},
-			Parallel: workers,
 		})
 		return r.Events
 	})
 	res.Ranks = ranks
-	res.Parallel = workers
 	return res
 }
 
-// RunScaleSuite executes the rank-count sweep — serial and windowed
-// rows per size — and assembles the report written to BENCH_scale.json.
+// RunScaleSuite executes the rank-count sweep and assembles the report
+// written to BENCH_scale.json.
 func RunScaleSuite() Report {
 	rep := Report{
 		Schema:    SchemaVersion,
@@ -87,8 +73,7 @@ func RunScaleSuite() Report {
 		GOARCH:    runtime.GOARCH,
 	}
 	for _, n := range ScaleRankCounts {
-		rep.Benchmarks = append(rep.Benchmarks, measureScale(n, 0))
-		rep.Benchmarks = append(rep.Benchmarks, measureScale(n, 1))
+		rep.Benchmarks = append(rep.Benchmarks, measureScale(n))
 	}
 	return rep
 }

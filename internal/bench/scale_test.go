@@ -19,7 +19,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	evps := make([]float64, len(smokeRanks))
 	for i, n := range smokeRanks {
-		res := measureScale(n, 0)
+		res := measureScale(n)
 		if res.EventsPerSec <= 0 {
 			t.Fatalf("%s: no events/sec measured (iterations=%d, ns/op=%.0f)",
 				res.Name, res.Iterations, res.NsPerOp)

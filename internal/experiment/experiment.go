@@ -53,13 +53,11 @@ type RunConfig struct {
 	// Seed drives all randomness in the run.
 	Seed int64
 
-	// Parallel selects the engine's conservative windowed executor:
-	// 0 runs the classic serial event loop, 1 runs windowed on the
-	// driving goroutine (locality batching only), and N>1 additionally
-	// executes each window's shards on N goroutines. Results are
-	// bit-identical across all settings (the windowed engine's
-	// contract); only throughput changes. Ignored when Trace is set —
-	// structured event recording assumes the serial order.
+	// Parallel is accepted and ignored.
+	//
+	// Deprecated: the engine has one executor. The field selected the
+	// windowed one, which never out-ran it; it remains only so that
+	// existing configurations keep compiling.
 	Parallel int
 
 	// FaultKind injects a fault (fault.None = clean run) at a random
@@ -300,13 +298,6 @@ func (rn *Runner) run(rc RunConfig) RunResult {
 	}
 	estimated := time.Duration(float64(p.EstimatedDuration()) / speed)
 	rc.Platform.Apply(w, eng.Rand(), ppn, estimated)
-	if rc.Parallel > 0 && rc.Trace == nil {
-		// Engine.Reset reverts to serial, so the windowed executor is
-		// re-armed per run: worker count from the config, lookahead from
-		// the platform's latency floor (0 disables windowing).
-		eng.SetParallel(rc.Parallel)
-		eng.SetLookahead(w.Latency().Lookahead())
-	}
 	cluster := topology.New(procs/ppn, ppn, rc.Seed)
 
 	res := RunResult{Spec: p.Spec, Platform: rc.Platform.Name, Seed: rc.Seed, FaultKind: rc.FaultKind}

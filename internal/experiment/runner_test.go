@@ -10,7 +10,6 @@ import (
 	"parastack/internal/fault"
 	"parastack/internal/noise"
 	"parastack/internal/sim"
-	"parastack/internal/workload"
 )
 
 // goldenKinds spans every reuse-sensitive teardown shape: clean runs
@@ -106,81 +105,44 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWindowedRunAllocCeiling: on one driver the windowed executor may
-// not allocate more than 1.5x what the serial one does for the same
-// run. It used to allocate 20x — every cross-shard wake took its event
-// from the waker's pool and returned it to the woken shard's, so one
-// side cut fresh slabs all run long (sim.Engine.scheduleWake).
-func TestWindowedRunAllocCeiling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full simulations; skipped in -short")
-	}
-	p := workload.MustLookup("CG", "D", 256)
-	p.Spec = workload.Spec{Name: "CG", Class: "wide", Procs: 1024}
-	p.Iters = 10
-	p.Compute = 400 * time.Millisecond
-	perRun := func(parallel int) float64 {
-		rn := NewRunner()
-		seed := int64(0)
-		run := func() {
-			seed++
-			res := rn.Run(RunConfig{Params: p, Platform: noise.Tardis(), PPN: 8, Seed: seed, Parallel: parallel, Monitor: &core.Config{}})
-			if !res.Completed {
-				t.Fatalf("Parallel=%d seed %d did not complete", parallel, seed)
-			}
-		}
-		run()
-		seed = 0 // measure the warm-up's own seeds again: same work on either executor
-		return bytesPerRun(2, run)
-	}
-	serial, windowed := perRun(0), perRun(1)
-	t.Logf("1024-rank run: serial %.0f B, windowed %.0f B", serial, windowed)
-	if windowed > 1.5*serial {
-		t.Errorf("windowed run allocates %.0f B, more than 1.5x the serial run's %.0f B", windowed, serial)
-	}
-}
-
 // TestRunnerPanicReleasesRanks: a panic that unwinds through Run must
-// not leave the run's rank goroutines parked for ever, on either
-// executor, and the Runner must come back bit-identical to a fresh one.
+// not leave the run's rank goroutines parked for ever, and the Runner
+// must come back bit-identical to a fresh one.
 func TestRunnerPanicReleasesRanks(t *testing.T) {
-	for _, parallel := range []int{0, 1} {
-		rn := NewRunner()
-		rc := RunConfig{
-			Params:   smallParams(),
-			Platform: noise.Tardis(),
-			PPN:      8,
-			Seed:     1,
-			Parallel: parallel,
-			Monitor:  &core.Config{},
-		}
-		rn.Run(rc) // the Runner under test is a warm one
-		base := runtime.NumGoroutine()
-		poisoned := rc
-		poisoned.ExtraDetectors = []DetectorFactory{func(env DetectorEnv) Detector {
-			return &bombDetector{eng: env.World.Engine()}
-		}}
-		for i := 0; i < 5; i++ {
-			func() {
-				defer func() {
-					if r := recover(); r != "detector bomb" {
-						t.Fatalf("Parallel=%d: recovered %v, want the bomb", parallel, r)
-					}
-				}()
-				rn.Run(poisoned)
-				t.Fatalf("Parallel=%d: poisoned run returned", parallel)
+	rn := NewRunner()
+	rc := RunConfig{
+		Params:   smallParams(),
+		Platform: noise.Tardis(),
+		PPN:      8,
+		Seed:     1,
+		Monitor:  &core.Config{},
+	}
+	rn.Run(rc) // the Runner under test is a warm one
+	base := runtime.NumGoroutine()
+	poisoned := rc
+	poisoned.ExtraDetectors = []DetectorFactory{func(env DetectorEnv) Detector {
+		return &bombDetector{eng: env.World.Engine()}
+	}}
+	for i := 0; i < 5; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "detector bomb" {
+					t.Fatalf("recovered %v, want the bomb", r)
+				}
 			}()
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > base {
-			t.Errorf("Parallel=%d: %d goroutines before the panicking runs, %d after", parallel, base, g)
-		}
-		if fresh, again := Run(rc), rn.Run(rc); !reflect.DeepEqual(fresh, again) {
-			t.Errorf("Parallel=%d: Runner diverged from a fresh run after a panic\nfresh: %+v\nagain: %+v", parallel, fresh, again)
-		}
+			rn.Run(poisoned)
+			t.Fatal("poisoned run returned")
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Errorf("%d goroutines before the panicking runs, %d after", base, g)
+	}
+	if fresh, again := Run(rc), rn.Run(rc); !reflect.DeepEqual(fresh, again) {
+		t.Errorf("Runner diverged from a fresh run after a panic\nfresh: %+v\nagain: %+v", fresh, again)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"parastack/internal/mpi"
@@ -162,12 +161,9 @@ func NewRandomPlan(rng *rand.Rand, kind Kind, size, iters, minIter, ppn int) Pla
 type Injector struct {
 	Plan
 
-	// mu guards the trigger record: a node-freeze has several victims,
-	// and under the windowed parallel engine they can hit Check from
-	// different worker goroutines inside one window. TriggeredAt is
-	// min-wins so the recorded instant is the earliest victim in
-	// virtual time, independent of execution order.
-	mu          sync.Mutex
+	// The trigger record: a node-freeze has several victims, and
+	// TriggeredAt is min-wins so the recorded instant is the earliest
+	// victim in virtual time, whichever reaches Check first.
 	triggered   bool
 	TriggeredAt time.Duration
 }
@@ -180,8 +176,6 @@ func (in *Injector) Triggered() (bool, time.Duration) {
 	if in == nil {
 		return false, 0
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.triggered, in.TriggeredAt
 }
 
@@ -204,12 +198,10 @@ func (in *Injector) Check(r *mpi.Rank, iter int) {
 		return
 	}
 	now := time.Duration(r.Now())
-	in.mu.Lock()
 	if !in.triggered || now < in.TriggeredAt {
 		in.triggered = true
 		in.TriggeredAt = now
 	}
-	in.mu.Unlock()
 	switch in.Kind {
 	case ComputationHang, NodeFreeze:
 		// Hang inside an application frame: OUT_MPI forever.

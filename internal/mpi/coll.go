@@ -60,17 +60,15 @@ func (k CollKind) syncLike() bool {
 // collOp tracks one in-flight collective on one communicator, matched
 // across members by call sequence number (MPI orders collectives by
 // call order on the communicator). Indices are communicator ranks.
-// All fields are guarded by the communicator's mutex.
 //
 // The completion protocol is formulated so that every observable value
 // is a function of per-member virtual entry times and keyed random
-// draws alone — never of the real-time order in which members reach
-// the op. Members of one communicator live on different engine shards
-// and may enter during the same execution window in any wall order;
-// tracking the max entry time (and the root's entry time) makes the
-// computed release instants identical no matter who arrives "last" in
-// wall time, which is what keeps windowed runs bit-identical to serial
-// ones.
+// draws alone — never of the order in which members are dispatched to
+// the op. Members entering at the same virtual instant reach it in
+// shard-stamp order; tracking the max entry time (and the root's entry
+// time) makes the computed release instants identical no matter who
+// happens to arrive "last", so release times depend on the program, not
+// on how same-instant events are tie-broken.
 type collOp struct {
 	kind  CollKind
 	root  int // communicator rank
@@ -91,17 +89,13 @@ type collOp struct {
 // fresh collective of the given shape. The seen slice's backing array
 // is reused when large enough.
 func (w *World) getCollOp(kind CollKind, root, bytes, size int) *collOp {
-	var op *collOp
-	w.opMu.Lock()
-	if n := len(w.freeOps); n > 0 {
-		op = w.freeOps[n-1]
-		w.freeOps[n-1] = nil
-		w.freeOps = w.freeOps[:n-1]
-	}
-	w.opMu.Unlock()
-	if op == nil {
+	n := len(w.freeOps)
+	if n == 0 {
 		return &collOp{kind: kind, root: root, bytes: bytes, seen: make([]bool, size)}
 	}
+	op := w.freeOps[n-1]
+	w.freeOps[n-1] = nil
+	w.freeOps = w.freeOps[:n-1]
 	op.kind, op.root, op.bytes = kind, root, bytes
 	op.arrived, op.left = 0, 0
 	op.maxEnter, op.rootEnter = 0, 0
@@ -129,9 +123,7 @@ func (w *World) putCollOp(op *collOp) {
 		op.waiters = nil
 	}
 	op.rootWait = nil
-	w.opMu.Lock()
 	w.freeOps = append(w.freeOps, op)
-	w.opMu.Unlock()
 }
 
 // collSalt keys collective latency draws apart from every other
@@ -163,7 +155,6 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 	size := c.Size()
 	now := r.proc.Now()
 
-	c.mu.Lock()
 	seq := c.collSeq[r.ID()]
 	c.collSeq[r.ID()]++
 	op, ok := c.colls[seq]
@@ -172,12 +163,10 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 		c.colls[seq] = op
 	}
 	if op.kind != kind || op.root != root {
-		c.mu.Unlock()
 		panic(fmt.Sprintf("mpi: collective mismatch at seq %d: rank %d called %s(root=%d), expected %s(root=%d)",
 			seq, r.id, kind, root, op.kind, op.root))
 	}
 	if op.seen[me] {
-		c.mu.Unlock()
 		panic(fmt.Sprintf("mpi: rank %d entered collective seq %d twice", r.id, seq))
 	}
 	op.seen[me] = true
@@ -198,7 +187,6 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 			releaseAt := op.maxEnter + w.lat.collective(c.collDraw(seq, 0), kind, op.bytes, size)
 			r.proc.WakeAllAt(releaseAt, op.waiters)
 			op.waiters = nil // ownership passed to the engine
-			c.mu.Unlock()
 			r.proc.SleepUntil(releaseAt)
 		} else {
 			if op.waiters == nil {
@@ -206,13 +194,10 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 			}
 			op.waiters = append(op.waiters, r.proc)
 			r.block = blockState{kind: BlockedCollective, seq: seq, comm: c, coll: kind}
-			c.mu.Unlock()
 			r.proc.Suspend()
 			r.block = blockState{}
 		}
-		c.mu.Lock()
-		c.finishLocked(seq, op)
-		c.mu.Unlock()
+		c.finish(seq, op)
 		return
 	}
 
@@ -239,7 +224,6 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 				op.waiters = nil
 			}
 			op.wranks = op.wranks[:0]
-			c.mu.Unlock()
 			r.proc.Sleep(w.lat.SendOverhead)
 		} else if op.rootHere {
 			at := now
@@ -247,7 +231,6 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 				at = op.rootEnter
 			}
 			at += w.lat.collective(c.collDraw(seq, uint64(me)+1), kind, op.bytes, size)
-			c.mu.Unlock()
 			r.proc.SleepUntil(at)
 		} else {
 			if op.waiters == nil {
@@ -256,7 +239,6 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 			op.waiters = append(op.waiters, r.proc)
 			op.wranks = append(op.wranks, me)
 			r.block = blockState{kind: BlockedCollective, seq: seq, comm: c, coll: kind}
-			c.mu.Unlock()
 			r.proc.Suspend()
 			r.block = blockState{}
 		}
@@ -269,12 +251,10 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 		if me == root {
 			if op.arrived == size {
 				at := op.maxEnter + w.lat.collective(c.collDraw(seq, 0), kind, op.bytes, size)
-				c.mu.Unlock()
 				r.proc.SleepUntil(at)
 			} else {
 				op.rootWait = r.proc
 				r.block = blockState{kind: BlockedCollective, seq: seq, comm: c, coll: kind}
-				c.mu.Unlock()
 				r.proc.Suspend()
 				r.block = blockState{}
 			}
@@ -284,22 +264,18 @@ func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
 				r.proc.WakePeerAt(op.rootWait, at)
 				op.rootWait = nil
 			}
-			c.mu.Unlock()
 			r.proc.Sleep(w.lat.SendOverhead)
 		}
 	default:
-		c.mu.Unlock()
 		panic("mpi: unhandled collective kind " + kind.String())
 	}
 
-	c.mu.Lock()
-	c.finishLocked(seq, op)
-	c.mu.Unlock()
+	c.finish(seq, op)
 }
 
-// finishLocked records one member's exit from op; the last exit retires
-// the op. Callers hold c.mu.
-func (c *Comm) finishLocked(seq uint64, op *collOp) {
+// finish records one member's exit from op; the last exit retires the
+// op.
+func (c *Comm) finish(seq uint64, op *collOp) {
 	op.left++
 	if op.left == c.Size() {
 		delete(c.colls, seq)
@@ -363,7 +339,6 @@ func (r *Rank) DesyncCollective(kind CollKind) {
 	me := c.RankOf(r)
 	seq := orphanSeqBase + uint64(r.id)
 	op := r.w.getCollOp(kind, 0, 0, c.Size())
-	c.mu.Lock()
 	c.colls[seq] = op
 	op.seen[me] = true
 	op.arrived++
@@ -372,7 +347,6 @@ func (r *Rank) DesyncCollective(kind CollKind) {
 	}
 	op.waiters = append(op.waiters, r.proc)
 	r.block = blockState{kind: BlockedCollective, seq: seq, comm: c, coll: kind}
-	c.mu.Unlock()
 	r.proc.Suspend()                          // never woken; World.Reset reclaims the op
 	panic("mpi: desynced collective resumed") // unreachable unless a bug wakes it
 }

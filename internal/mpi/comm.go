@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Comm is a communicator: an ordered subset of the world's ranks with
@@ -18,12 +17,10 @@ type Comm struct {
 	ranks []int       // members as world ranks, in communicator order
 	index map[int]int // world rank → comm rank
 
-	// mu guards the collective-matching state below (and every collOp
-	// reached through colls): members live on different engine shards
-	// and can enter collectives concurrently in a multi-worker window.
-	mu      sync.Mutex
+	// Collective-matching state: in-flight ops by call sequence, and
+	// each member's call counter, indexed by world rank.
 	colls   map[uint64]*collOp
-	collSeq []uint64 // per member call counter, indexed by world rank
+	collSeq []uint64
 }
 
 // newComm builds a communicator over the given world ranks (order

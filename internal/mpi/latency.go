@@ -65,30 +65,6 @@ func (l Latency) WithDefaults() Latency {
 	return l
 }
 
-// Lookahead returns a strict lower bound on the virtual-time distance
-// between an action of one rank and its earliest possible effect on
-// another rank under this model: every cross-rank interaction — a
-// point-to-point delivery (≥ Base) or a collective release (≥ one
-// CollBase tree level) — pays at least the smaller of the two base
-// latencies, derated by the worst-case jitter draw. This is the bound
-// that licenses the engine's conservative windowed execution
-// (sim.Engine.SetLookahead): rank groups can run independently for one
-// lookahead without any possibility of interacting. A model with
-// Jitter >= 1 has no usable bound and returns 0, which disables
-// windowed execution.
-func (l Latency) Lookahead() time.Duration {
-	min := l.Base
-	if l.CollBase < min {
-		min = l.CollBase
-	}
-	lo := time.Duration(float64(min) * (1 - l.Jitter))
-	if lo <= 0 {
-		return 0
-	}
-	// One-nanosecond guard for float truncation in jittered().
-	return lo - 1
-}
-
 // jittered scales d by a uniform factor in [1-Jitter, 1+Jitter].
 func (l Latency) jittered(u sim.Uniform, d time.Duration) time.Duration {
 	if l.Jitter <= 0 || d <= 0 {

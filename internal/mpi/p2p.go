@@ -73,9 +73,9 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 // rule: jitter must not reorder two same-pair messages in flight), and
 // posts a delivery event to the destination rank's shard at the arrival
 // time. Matching happens at arrival, on the receiver's shard — the
-// cross-rank interaction is a timestamped event at now + p2p latency,
-// which is exactly the distance the latency model's Lookahead bound
-// promises the windowed engine.
+// cross-rank interaction is one timestamped event at now + p2p latency,
+// stamped by the sender's shard, so its place in the event order is a
+// function of the sender's program alone.
 func (r *Rank) startSend(dst, tag, bytes int) {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))

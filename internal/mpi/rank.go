@@ -43,15 +43,14 @@ type Rank struct {
 	// (engine seed, rank id) at Launch. Drawing per-rank rather than
 	// from the engine's global stream makes every draw a function of the
 	// rank's own program order — independent of how rank executions
-	// interleave, which is what keeps windowed runs bit-identical to
-	// serial ones.
+	// interleave, so latencies follow from the program rather than
+	// from the dispatch order of other ranks.
 	rng sim.Rng
 
 	// Per-rank object pools (see World.Reset for reclamation). Messages
 	// are allocated by the sender and released by the receiver, so pool
 	// populations drift between ranks but never leak; requests stay with
-	// their owner. Per-rank pools keep pool traffic off any shared lock
-	// during windowed execution.
+	// their owner.
 	freeMsgs []*message
 	freeReqs []*Request
 

@@ -20,8 +20,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parastack/internal/sim"
@@ -50,8 +48,8 @@ type World struct {
 	Perturb func(r *Rank, d time.Duration) time.Duration
 
 	started    bool
-	finished   atomic.Int32 // ranks whose bodies have returned
-	finishedAt atomic.Int64 // max completion virtual time (ns), valid once Done
+	finished   int      // ranks whose bodies have returned
+	finishedAt sim.Time // max completion virtual time, valid once Done
 
 	// deliverFn/completeFn cache the method values passed to
 	// sim.Proc.Post so delivery and completion events carry a shared
@@ -59,25 +57,21 @@ type World struct {
 	deliverFn  func(sim.Time, any)
 	completeFn func(sim.Time, any)
 
-	// Pooled collective ops, shared across communicators. opMu guards
-	// the pool: ranks on different shards may enter collectives on
-	// different communicators concurrently in a multi-worker window.
-	opMu    sync.Mutex
+	// Pooled collective ops, shared across communicators.
 	freeOps []*collOp
 
 	// group is the number of consecutive ranks homed on one engine
 	// shard (see shardGroupSize). It is part of the world's identity:
-	// event stamps carry shard ids, so serial and windowed runs of the
-	// same world use the same grouping by construction.
+	// event stamps carry shard ids, so the grouping is part of the event
+	// order.
 	group int
 }
 
 // maxRankShards bounds the number of rank shards a world creates.
-// Below it every rank gets its own shard (maximum windowed
-// parallelism); above it consecutive ranks share shards, which keeps
-// the shard head-heap small and — more importantly — batches each
-// horizon window into long same-shard event chains that the windowed
-// executor runs on one hot goroutine chain (see sim shard.runLoop).
+// Below it every rank gets its own shard; above it consecutive ranks
+// share shards, which keeps the engine's shard merge heap small. The
+// shard ids it produces stamp every rank event, so changing the bound
+// changes how same-instant events of large worlds are tie-broken.
 const maxRankShards = 256
 
 // shardGroupSize returns the ranks-per-shard grouping for a world of
@@ -132,8 +126,8 @@ func (w *World) Reset(lat Latency) {
 	w.lat = lat.WithDefaults()
 	w.Perturb = nil
 	w.started = false
-	w.finished.Store(0)
-	w.finishedAt.Store(0)
+	w.finished = 0
+	w.finishedAt = 0
 	for _, r := range w.ranks {
 		for _, q := range r.posted[r.postedHead:] {
 			if q != nil {
@@ -210,26 +204,19 @@ func (w *World) Launch(body func(r *Rank)) {
 		r.rng.Seed(sim.Mix64(seed, rankStreamSalt, uint64(r.id)))
 		r.proc = w.eng.SpawnOn(1+r.id/w.group, r.name, now, func(p *sim.Proc) {
 			body(r)
-			// Completion bookkeeping must be safe from concurrent window
-			// workers; the max over completion times equals the serial
-			// engine's "time of the last completion".
-			t := int64(p.Now())
-			for {
-				cur := w.finishedAt.Load()
-				if t <= cur || w.finishedAt.CompareAndSwap(cur, t) {
-					break
-				}
+			if t := p.Now(); t > w.finishedAt {
+				w.finishedAt = t
 			}
-			w.finished.Add(1)
+			w.finished++
 		})
 	}
 }
 
 // Done reports whether every rank's body has returned.
-func (w *World) Done() bool { return w.started && int(w.finished.Load()) == len(w.ranks) }
+func (w *World) Done() bool { return w.started && w.finished == len(w.ranks) }
 
 // Finished reports how many ranks have completed.
-func (w *World) Finished() int { return int(w.finished.Load()) }
+func (w *World) Finished() int { return w.finished }
 
 // FinishedAt returns the virtual time at which the last rank completed
 // (zero until Done).
@@ -237,5 +224,5 @@ func (w *World) FinishedAt() sim.Time {
 	if !w.Done() {
 		return 0
 	}
-	return sim.Time(w.finishedAt.Load())
+	return w.finishedAt
 }

@@ -116,18 +116,6 @@ func Lookup(name string) (Profile, error) {
 // Names lists the known platform names.
 func Names() []string { return []string{"tardis", "tianhe2", "stampede"} }
 
-// ByName returns the named profile; it panics on an unknown name.
-//
-// Deprecated: use Lookup, which reports unknown names as an error
-// instead of a stack trace.
-func ByName(name string) Profile {
-	p, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Latency returns the platform's point-to-point and collective latency
 // model: the package defaults scaled by CommSpeed (zero or negative
 // CommSpeed means 1.0).
@@ -189,7 +177,7 @@ func (p Profile) Apply(w *mpi.World, rng *rand.Rand, ppn int, expectedDur time.D
 	// Per-interval jitter draws from the rank's own stream, not the
 	// setup rng: the hook runs in rank execution context, and only a
 	// per-rank stream keeps the draw sequence independent of the order
-	// ranks happen to execute in (serial vs. windowed parallel).
+	// ranks happen to be dispatched in.
 	w.Perturb = func(r *mpi.Rank, d time.Duration) time.Duration {
 		f := a.nodeFactor[r.ID()/ppn] / speed
 		if jitter > 0 {

@@ -8,19 +8,32 @@ import (
 	"parastack/internal/sim"
 )
 
-func TestProfilesByName(t *testing.T) {
-	for _, name := range []string{"tardis", "tianhe2", "stampede"} {
-		p := ByName(name)
-		if p.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, p.Name)
+func TestLookup(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wantErr string
+	}{
+		{name: "tardis"},
+		{name: "tianhe2"},
+		{name: "stampede"},
+		{name: "summit", wantErr: `noise: unknown platform "summit" (have [tardis tianhe2 stampede])`},
+		{name: "", wantErr: `noise: unknown platform "" (have [tardis tianhe2 stampede])`},
+	} {
+		p, err := Lookup(tc.name)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("Lookup(%q) error = %v, want %q", tc.name, err, tc.wantErr)
+			}
+			if p != (Profile{}) {
+				t.Errorf("Lookup(%q) = %+v alongside its error, want the zero Profile", tc.name, p)
+			}
+		case err != nil:
+			t.Errorf("Lookup(%q): %v", tc.name, err)
+		case p.Name != tc.name:
+			t.Errorf("Lookup(%q).Name = %q", tc.name, p.Name)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown platform must panic")
-		}
-	}()
-	ByName("summit")
 }
 
 func TestSpeedDividesCompute(t *testing.T) {

@@ -84,10 +84,14 @@ func (o Options) withDefaults(defRuns int) Options {
 	return o
 }
 
-// platformScale returns the rank count and noise profile for a named
-// platform the way the paper allocates them.
+// platformWorld returns the noise profile and processes-per-node layout
+// for a named platform the way the paper allocates them. The names come
+// from this package's own tables, so an unknown one is a bug.
 func platformWorld(name string, procs int) (noise.Profile, int) {
-	prof := noise.ByName(name)
+	prof, err := noise.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
 	return prof, prof.DefaultPPN
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -193,10 +192,10 @@ const (
 	chainStopped
 )
 
-// runChainProgram builds the program of the given seed on a fresh
+// runGeneratedProgram builds the program of the given seed on a fresh
 // engine, runs it to quiescence in the given mode and returns its
 // dispatch log.
-func runChainProgram(t *testing.T, seed int64, mode int) []chainEntry {
+func runGeneratedProgram(t *testing.T, seed int64, mode int) []chainEntry {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine(seed)
@@ -255,7 +254,7 @@ func TestChainGeneratedProgramsAgree(t *testing.T) {
 	}
 	total := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		want := runChainProgram(t, seed, chainRunAll)
+		want := runGeneratedProgram(t, seed, chainRunAll)
 		total += len(want)
 		for _, ent := range want {
 			if ent.kind[0] == 'B' {
@@ -263,7 +262,7 @@ func TestChainGeneratedProgramsAgree(t *testing.T) {
 			}
 		}
 		for _, mode := range []int{chainSliced, chainStopped} {
-			if got := runChainProgram(t, seed, mode); !reflect.DeepEqual(got, want) {
+			if got := runGeneratedProgram(t, seed, mode); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: mode %d log differs from RunAll\n got %v\nwant %v", seed, mode, got, want)
 			}
 		}
@@ -354,48 +353,6 @@ func TestChainClosuresRunOnRunsGoroutine(t *testing.T) {
 	e.RunAll()
 	if !ran {
 		t.Fatal("engine unusable after a panicking closure")
-	}
-}
-
-// TestChainWindowPanicLeavesEngineShutdownable: a panic that unwinds
-// Run in the middle of a window must not strand the parked ranks in a
-// window loop nobody will finish.
-func TestChainWindowPanicLeavesEngineShutdownable(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine(1)
-	e.SetParallel(1)
-	e.SetLookahead(time.Microsecond)
-	var procs []*Proc
-	for i := 0; i < 6; i++ {
-		procs = append(procs, e.SpawnOn(1+i, "rank", 0, func(p *Proc) {
-			if p.ID == 0 {
-				p.Sleep(time.Microsecond)
-				p.Post(procs[1], p.Now()+10*time.Microsecond, func(Time, any) { panic("boom") }, nil)
-			}
-			for {
-				p.Sleep(3 * time.Microsecond)
-			}
-		}))
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("recovered %v, want the callback's panic", r)
-			}
-		}()
-		e.RunAll()
-		t.Fatal("RunAll returned")
-	}()
-	e.Shutdown()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("%d live processes after Shutdown", e.LiveProcs())
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
 	}
 }
 

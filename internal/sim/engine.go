@@ -5,33 +5,28 @@
 // (package mpi), the workload skeletons (package workload), and the
 // ParaStack monitor (package core) execute. The event queue is sharded:
 // shard 0 carries system activity (monitors, detectors, test callbacks)
-// and the MPI world gives every rank its own shard, so each queue holds
-// one process group's handful of pending events no matter how large the
-// world is. A deterministic min-merge over the shard heads yields a
-// total event order — (time, source shard, source sequence) — that is
-// identical whether the engine runs serially or in windowed
-// (conservative parallel-DES) mode; see Engine.SetParallel.
+// and the MPI world homes each group of ranks on its own shard, so each
+// queue holds a handful of pending events no matter how large the world
+// is. A deterministic min-merge over the shard heads (Engine.heads)
+// yields the total event order — (time, source shard, source sequence).
+// Every golden in the repository was recorded under that order. The
+// shards, the per-shard stamps and the canonical wake stamps stay
+// because they define it, not because anything executes shards apart.
 //
-// In serial mode exactly one simulated process (or event callback) runs
-// at a time, so shared simulation state needs no further locking and
-// every run is reproducible from the engine's random seed. There is no
-// scheduler goroutine: whoever parks drives. Run starts the global
-// event loop (Engine.drive) on its own goroutine, and every process
-// that sleeps, suspends or exits continues that loop itself — it runs
-// payload callbacks (the MPI deliveries) inline, resumes without any
-// goroutine switch when the next dispatch is its own wake, and
-// otherwise readies the next process with one send on that process's
-// resume channel. Run's goroutine gets the loop back, over one buffered
-// channel, only when the run is over or a closure event (At/After) is
-// due: closures always execute on the goroutine that called Run, so a
-// panicking closure unwinds Run's caller and never a process. Windowed
-// mode partitions execution into horizon windows bounded by the latency
-// model's lookahead (SetLookahead); within a window shards execute
-// independently — by construction they cannot interact before the
-// horizon — under the same protocol, one shard's queue at a time
-// (shard.runLoop), and the results remain bit-identical to the serial
-// order. Both executors hand control to a process through the same
-// helper (handoff).
+// There is one executor, and exactly one simulated process (or event
+// callback) runs at a time, so simulation state needs no locking and
+// every run is reproducible from the engine's random seed. Channel
+// handoffs order every access. There is no scheduler goroutine: whoever
+// parks drives. Run starts the global event loop (Engine.drive) on its
+// own goroutine, and every process that sleeps, suspends or exits
+// continues that loop itself — it runs payload callbacks (the MPI
+// deliveries) inline, resumes without any goroutine switch when the
+// next dispatch is its own wake, and otherwise readies the next process
+// with one send on that process's resume channel (handoff). Run's
+// goroutine gets the loop back, over one buffered channel, only when
+// the run is over or a closure event (At/After) is due: closures always
+// execute on the goroutine that called Run, so a panicking closure
+// unwinds Run's caller and never a process.
 //
 // Virtual time is represented as time.Duration offsets from the start
 // of the simulation. Sleeping, blocking on a condition, and waking
@@ -41,10 +36,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parastack/internal/obs"
@@ -58,12 +50,13 @@ const (
 	CtrSleeps    = "engine.sleeps"     // Proc.Sleep calls
 	CtrEvents    = "engine.events"     // events fired (synced per Run)
 
-	// Windowed-mode counters: windows executed, the total number of
-	// shard activations across windows (occupancy = window_shards /
-	// windows), and windows whose horizon was cut short by a pending
-	// system-shard event rather than the full lookahead.
-	CtrWindows       = "engine.windows"
-	CtrWindowShards  = "engine.window_shards"
+	// Deprecated: the windowed executor these counted is gone and they
+	// are no longer emitted. They stay only because the benchmark still
+	// reads them; they go when it stops.
+	CtrWindows = "engine.windows"
+	// Deprecated: no longer emitted; see CtrWindows.
+	CtrWindowShards = "engine.window_shards"
+	// Deprecated: no longer emitted; see CtrWindows.
 	CtrHorizonStalls = "engine.horizon_stalls"
 
 	GaugeQueueDepthMax = "engine.queue_depth_max"
@@ -78,13 +71,10 @@ const (
 // offset from the beginning of the simulation.
 type Time = time.Duration
 
-// maxTime is the +infinity sentinel of horizon computations.
-const maxTime = Time(math.MaxInt64)
-
 // Event is a scheduled callback. Events with equal times fire in
 // scheduling order within their originating shard (FIFO), with the
 // originating shard's id breaking cross-shard ties, which keeps runs
-// deterministic in both serial and windowed mode.
+// deterministic.
 //
 // Fired events are recycled through per-shard free lists, so an
 // *Event handle is only valid until its event fires: cancel pending
@@ -116,9 +106,7 @@ type Event struct {
 
 // Cancel prevents a pending event from firing. Canceling an event that
 // is currently firing (from within its own callback) is a no-op; see
-// the handle-validity note on Event for already-fired events. Cancel
-// must be called from the event's own shard (or any single-threaded
-// phase); canceling another shard's event mid-window is a data race.
+// the handle-validity note on Event for already-fired events.
 func (ev *Event) Cancel() { ev.canceled = true }
 
 // When returns the virtual time at which the event is scheduled.
@@ -138,13 +126,12 @@ type Engine struct {
 	running  bool
 	shutdown bool
 
-	// Global-loop state (see drive). until and quota bound the current
-	// Run; stepping is the shard whose popped event is executing (still
-	// in heads, under a stale key); group/groupAt is the cursor through
-	// a popped group wake; idle carries the one token that passes the
-	// loop back to Run's goroutine (and acknowledges Shutdown orders).
+	// Global-loop state (see drive). until bounds the current Run;
+	// stepping is the shard whose popped event is executing (still in
+	// heads, under a stale key); group/groupAt is the cursor through a
+	// popped group wake; idle carries the one token that passes the loop
+	// back to Run's goroutine (and acknowledges Shutdown orders).
 	until    Time
-	quota    int64
 	stepping *shard
 	group    *Event
 	groupAt  int
@@ -152,32 +139,12 @@ type Engine struct {
 	rests    uint64 // times Run's goroutine blocked on idle (pinned by tests)
 
 	// ctx is the shard whose event (or setup code) is currently
-	// executing in a single-threaded phase; engine-level scheduling
-	// APIs (At, After, Spawn, WakeAt) stamp events with it. During
-	// windowed shard execution it is not meaningful — window code must
-	// use Proc-scoped APIs, which derive the context from the process.
+	// executing; engine-level scheduling APIs (At, After, Spawn, WakeAt)
+	// stamp events with it.
 	ctx *shard
-
-	// Windowed-mode configuration and state.
-	workers   int  // 0 = serial; >=1 enables windowed execution
-	lookahead Time // cross-shard latency lower bound (0 disables windowed)
-	inWindow  bool // inside a window's shard-execution phase
-	curH      Time // current window horizon (0 outside windows)
-	active    []*shard
-	dirty     []*shard // shards with pending inbox entries
-	dirtyMu   sync.Mutex
-
-	// Window-chain bookkeeping (see runWindow/runChain): the cursor
-	// into active, the count of active shards not yet exhausted, and
-	// the one-token channel the last finisher signals. Buffered so the
-	// finisher never blocks, even when it is the coordinator itself.
-	winNext atomic.Int64
-	winLeft atomic.Int64
-	winDone chan struct{}
 
 	procs     []*Proc
 	liveProcs int
-	procMu    sync.Mutex // guards procs/freeProcs for mid-window spawns
 
 	// Reuse pools. freeProcs recycles Proc structs (and their resume
 	// channels) across Reset cycles; procSlices recycles group-wake
@@ -185,23 +152,16 @@ type Engine struct {
 	// waiter list round-trips through the pool without reallocating.
 	freeProcs  []*Proc
 	procSlices map[int][][]*Proc
-	sliceMu    sync.Mutex
-
-	// Windowed-run tallies (coordinator-only).
-	windows       uint64
-	windowShards  uint64
-	horizonStalls uint64
 
 	// Observability (see SetRecorder). rec is never nil.
 	rec          obs.Recorder
 	traceProcs   bool
 	depthEvented int
 	// synced copies of the tallies already folded into the recorder.
-	eventsSynced                                    uint64
-	sleepsSynced                                    uint64
-	spawnsSynced                                    uint64
-	exitsSynced                                     uint64
-	windowsSynced, windowShardsSynced, stallsSynced uint64
+	eventsSynced uint64
+	sleepsSynced uint64
+	spawnsSynced uint64
+	exitsSynced  uint64
 }
 
 // NewEngine returns an engine whose random stream is seeded with seed.
@@ -209,11 +169,10 @@ type Engine struct {
 // produce identical event sequences.
 func NewEngine(seed int64) *Engine {
 	e := &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		seed:    seed,
-		rec:     obs.Disabled,
-		winDone: make(chan struct{}, 1),
-		idle:    make(chan struct{}, 1),
+		rng:  rand.New(rand.NewSource(seed)),
+		seed: seed,
+		rec:  obs.Disabled,
+		idle: make(chan struct{}, 1),
 	}
 	e.ctx = e.shardFor(0)
 	return e
@@ -241,9 +200,8 @@ func (e *Engine) Shards() int { return len(e.shards) }
 //
 // Recording is pure observation: it never touches the engine's random
 // stream or event ordering, so attaching a recorder cannot perturb
-// virtual-time results. Structured-event recording is only supported
-// in serial mode (windowed workers would race on the sink); counters
-// and gauges are folded at window barriers and work in every mode.
+// virtual-time results. Counters and gauges are folded in when a Run
+// returns, so the event loop carries no per-event recorder work.
 func (e *Engine) SetRecorder(r obs.Recorder) {
 	if r == nil {
 		r = obs.Disabled
@@ -258,65 +216,26 @@ func (e *Engine) Recorder() obs.Recorder { return e.rec }
 // default; spawn/stop events only need SetRecorder).
 func (e *Engine) TraceProcs(on bool) { e.traceProcs = on }
 
-// Now returns the current virtual time: in serial mode the time of the
-// last dispatched event, in windowed mode the committed horizon (no
-// pending event is earlier than it). Process bodies should prefer
-// Proc.Now, which is exact in both modes.
+// Now returns the current virtual time: the time of the last dispatched
+// event. Process bodies may equally use Proc.Now, which is the time of
+// the event that last dispatched that process.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source. It must only
-// be used from setup code, system-shard (shard 0) events, and tests —
-// contexts that execute serially in every mode. Rank-context code uses
-// per-rank streams (see Rng) so draws are independent of cross-shard
-// execution order.
+// Rand returns the engine's deterministic random source, for setup
+// code, system-shard (shard 0) events, and tests. Rank-context code
+// draws from per-rank streams instead (see Rng): a shared stream would
+// make every rank's draws depend on how all ranks interleave, so any
+// change to the dispatch of one rank would reshuffle the randomness of
+// the others.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Seed returns the seed of the engine's current random stream; worlds
 // derive per-rank and keyed streams from it.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// SetParallel selects windowed (conservative parallel-DES) execution
-// with the given worker count; 0 restores serial execution. Windowed
-// execution also requires a positive lookahead (SetLookahead) — without
-// one Run falls back to the serial loop. workers == 1 runs the windowed
-// algorithm on the coordinator goroutine alone: on a single-core host
-// that is the fast configuration (the speedup comes from shard-local
-// batching, not concurrency), while workers > 1 executes a window's
-// shards on that many goroutines.
-func (e *Engine) SetParallel(workers int) {
-	if e.running {
-		panic("sim: SetParallel while running")
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	e.workers = workers
-}
-
-// Parallel reports the configured windowed worker count (0 = serial).
-func (e *Engine) Parallel() int { return e.workers }
-
-// SetLookahead declares the minimum virtual-time distance between an
-// action on one shard and its earliest possible effect on another —
-// for the MPI world, the latency model's jitter-adjusted minimum of
-// Base and CollBase. Windowed execution is sound exactly when every
-// cross-shard interaction respects it; the engine enforces it with a
-// panic on violation, so a too-large value fails loudly rather than
-// corrupting results.
-func (e *Engine) SetLookahead(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	e.lookahead = d
-}
-
-// Lookahead returns the declared cross-shard lookahead.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
 // EventsFired reports how many events have executed so far, summed
-// over shards. Inline-executed sleeps (the windowed fast path) count
-// exactly like the wake events the serial engine fires for them, so
-// the tally is mode-independent.
+// over shards. Each process a group wake dispatches counts as one
+// event, exactly as if it had been woken on its own.
 func (e *Engine) EventsFired() uint64 {
 	var n uint64
 	for _, s := range e.shards {
@@ -330,16 +249,11 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 
 // LiveProcs reports the number of spawned processes that have not yet
 // terminated.
-func (e *Engine) LiveProcs() int {
-	e.procMu.Lock()
-	defer e.procMu.Unlock()
-	return e.liveProcs
-}
+func (e *Engine) LiveProcs() int { return e.liveProcs }
 
 // scheduleLocal allocates an event on shard s with s's own counter
-// stamp and pushes it. The caller must be executing on s (its window
-// worker, its dispatched process, or a single-threaded phase with
-// ctx == s). floor is the causality check reference.
+// stamp and pushes it. The caller must be executing on s (its
+// dispatched process, or setup code with ctx == s).
 func (e *Engine) scheduleLocal(s *shard, t Time) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before shard %d time %v", t, s.id, s.now))
@@ -349,19 +263,13 @@ func (e *Engine) scheduleLocal(s *shard, t Time) *Event {
 	ev.src = s.id
 	ev.seq = s.seq
 	s.seq++
-	s.queue.push(ev)
-	s.notePush()
-	if !e.inWindow {
-		e.onHeadChanged(s, ev)
-	}
+	e.push(s, ev)
 	return ev
 }
 
 // schedulePost allocates an event stamped by src's shard counter and
-// routes it to dst's shard: the deterministic cross-shard post behind
-// message deliveries. Outside window execution (setup, system events,
-// serial runs) the event is pushed directly; during a window it goes
-// through the target's inbox when other workers may own the target.
+// pushes it onto dst's shard: the deterministic cross-shard post behind
+// message deliveries.
 func (e *Engine) schedulePost(src, dst *shard, t Time) *Event {
 	if src == dst {
 		return e.scheduleLocal(src, t)
@@ -371,99 +279,52 @@ func (e *Engine) schedulePost(src, dst *shard, t Time) *Event {
 	ev.src = src.id
 	ev.seq = src.seq
 	src.seq++
-	e.routeRemote(dst, ev)
+	e.pushRemote(dst, ev)
 	return ev
 }
 
 // scheduleWake allocates a canonical wake event for p: stamped with
-// p's home shard and p's shard-local id rather than any scheduler
-// counter, because cross-shard wakers' identities (who completed the
-// collective last) depend on execution order. The canonical stamp
-// makes the event's queue position a pure function of mode-independent
-// data, so serial and windowed runs order it identically. The event
-// comes from p's own shard's pool — the one its firing recycles it into,
-// so neither pool drains into the other — except in a multi-worker
-// window, where p's shard may be executing concurrently and the waker's
-// pool is the only one this goroutine owns.
+// p's home shard and p's shard-local id rather than the waker's
+// counter. Which process performs a cross-shard wake (say, the last
+// rank to reach a collective) is an accident of dispatch; the canonical
+// stamp makes the wake's queue position a function of the woken process
+// alone. The event comes from p's own shard's pool — the one its firing
+// recycles it into, so neither pool drains into the other.
 func (e *Engine) scheduleWake(src *shard, p *Proc, t Time) *Event {
 	s := p.shard
-	pool := s
-	if e.inWindow && e.workers > 1 {
-		pool = src
-	}
-	ev := pool.alloc()
+	ev := s.alloc()
 	ev.when = t
 	ev.src = s.id
 	ev.seq = wakeSeqBit | p.localID
 	ev.proc = p
-	if s == src {
-		// Waking a peer on one's own shard is shard-local: no lookahead
-		// constraint and no routing indirection.
-		if t < s.now {
-			panic(fmt.Sprintf("sim: scheduling event at %v before shard %d time %v", t, s.id, s.now))
-		}
-		s.queue.push(ev)
-		s.notePush()
-		if !e.inWindow {
-			e.onHeadChanged(s, ev)
-		}
+	if s != src {
+		e.pushRemote(s, ev)
 		return ev
 	}
-	e.routeRemote(s, ev)
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before shard %d time %v", t, s.id, s.now))
+	}
+	e.push(s, ev)
 	return ev
 }
 
-// routeRemote inserts a stamped event into target's queue, via the
-// inbox when the target may be concurrently executing its own window.
-func (e *Engine) routeRemote(target *shard, ev *Event) {
-	if ev.when < target.committed {
-		panic(fmt.Sprintf(
-			"sim: lookahead violation: event at %v posted to shard %d committed through %v",
-			ev.when, target.id, target.committed))
+// pushRemote inserts an event stamped elsewhere into target's queue.
+func (e *Engine) pushRemote(target *shard, ev *Event) {
+	if ev.when < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.when, e.now))
 	}
-	if !e.inWindow {
-		if ev.when < e.now {
-			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.when, e.now))
-		}
-		target.queue.push(ev)
-		target.notePush()
-		e.onHeadChanged(target, ev)
-		return
-	}
-	if e.curH > 0 && ev.when < e.curH {
-		panic(fmt.Sprintf(
-			"sim: lookahead violation: cross-shard event at %v inside window horizon %v",
-			ev.when, e.curH))
-	}
-	if e.workers <= 1 {
-		// Single-driver window: the coordinator is the only goroutine
-		// touching any queue, so the inbox indirection is unnecessary.
-		target.queue.push(ev)
-		target.notePush()
-		if !target.active {
-			e.onHeadChanged(target, ev)
-		}
-		return
-	}
-	target.inboxMu.Lock()
-	target.inbox = append(target.inbox, ev)
-	target.inboxMu.Unlock()
-	e.dirtyMu.Lock()
-	if !target.indirty {
-		target.indirty = true
-		e.dirty = append(e.dirty, target)
-	}
-	e.dirtyMu.Unlock()
+	e.push(target, ev)
 }
 
-// notePush records depth bookkeeping after a queue push; the ~2x-growth
-// structured depth event is only emitted from single-threaded phases.
-func (s *shard) notePush() {
-	n := len(s.queue)
-	if n > s.maxDepth {
+// push inserts a stamped event into s's queue, keeps the merge heap in
+// step, and records depth bookkeeping (a structured queue_depth event
+// each time the maximum roughly doubles).
+func (e *Engine) push(s *shard, ev *Event) {
+	s.queue.push(ev)
+	e.onHeadChanged(s, ev)
+	if n := len(s.queue); n > s.maxDepth {
 		s.maxDepth = n
-		e := s.eng
-		if !e.inWindow && e.rec.Enabled() && n >= 2*e.depthEvented {
+		if e.rec.Enabled() && n >= 2*e.depthEvented {
 			e.depthEvented = n
 			e.rec.Event(e.now, EvQueueDepth, obs.Int("depth", int64(n)))
 		}
@@ -474,14 +335,10 @@ func (s *shard) notePush() {
 // capacity, reusing a pooled backing array when one of that exact
 // capacity is available. Callers either hand the slice back through
 // PutProcSlice or transfer ownership to the engine via WakeAllAt.
-// The pool is mutex-guarded: collectives on different communicators
-// may request slices from concurrent windowed workers.
 func (e *Engine) GetProcSlice(capacity int) []*Proc {
 	if capacity < 1 {
 		capacity = 1
 	}
-	e.sliceMu.Lock()
-	defer e.sliceMu.Unlock()
 	if l := e.procSlices[capacity]; len(l) > 0 {
 		s := l[len(l)-1]
 		l[len(l)-1] = nil
@@ -501,29 +358,22 @@ func (e *Engine) PutProcSlice(s []*Proc) {
 	for i := range s {
 		s[i] = nil // drop proc references so pooled arrays don't pin them
 	}
-	e.sliceMu.Lock()
 	if e.procSlices == nil {
 		e.procSlices = make(map[int][][]*Proc)
 	}
 	e.procSlices[cap(s)] = append(e.procSlices[cap(s)], s[:0])
-	e.sliceMu.Unlock()
 }
 
-// WakeAllAt schedules every process in procs to resume at time t.
-// Serially that is a single queued group event — one heap insertion
-// instead of one per waiter, which keeps large collectives O(log queue)
-// instead of O(N log queue); in windowed mode each waiter gets a
-// canonical per-shard wake event. Processes are dispatched in slice
-// order, and each dispatch counts as one fired event, so the wake
-// order and the engine's event tally are identical across modes. Every
-// process must be suspended; ownership of the slice transfers to the
-// engine (a group event returns it to the proc-slice pool after
-// firing; the fan-out path returns it immediately). An empty slice
-// schedules nothing and returns nil.
-//
-// It must be called from a single-threaded phase or, in windowed mode,
-// from the caller process ctx (see Proc.WakeAllAt, which collectives
-// use).
+// WakeAllAt schedules every process in procs to resume at time t as a
+// single queued group event — one heap insertion instead of one per
+// waiter, which keeps large collectives O(log queue) instead of
+// O(N log queue). Processes are dispatched in slice order, and each
+// dispatch counts as one fired event. Every process must be suspended;
+// ownership of the slice transfers to the engine (the group event
+// returns it to the proc-slice pool after firing). An empty slice
+// schedules nothing and returns nil. The event is stamped by the
+// current context shard; processes use Proc.WakeAllAt, which stamps it
+// by their own.
 func (e *Engine) WakeAllAt(t Time, procs []*Proc) *Event {
 	return e.wakeAll(e.ctx, t, procs)
 }
@@ -533,26 +383,6 @@ func (e *Engine) wakeAll(src *shard, t Time, procs []*Proc) *Event {
 		if procs != nil {
 			e.PutProcSlice(procs)
 		}
-		return nil
-	}
-	if e.workers > 0 && e.lookahead > 0 {
-		// Windowed: canonical per-waiter wakes, identical order. With
-		// multiple window workers a cross-shard waiter's state word may
-		// still be in flight (it parks after registering), so marking is
-		// deferred to the window barrier; see Proc.WakePeerAt.
-		deferCross := e.inWindow && e.workers > 1
-		for _, p := range procs {
-			if deferCross && p.shard != src {
-				e.scheduleWake(src, p, t)
-				continue
-			}
-			if p.state != ProcSuspended {
-				panic(fmt.Sprintf("sim: WakeAllAt(%s) in state %s", p.Name, p.state))
-			}
-			p.state = ProcSleeping
-			p.wake = e.scheduleWake(src, p, t)
-		}
-		e.PutProcSlice(procs)
 		return nil
 	}
 	ev := e.scheduleLocal(src, t)
@@ -570,17 +400,15 @@ func (e *Engine) wakeAll(src *shard, t Time, procs []*Proc) *Event {
 }
 
 // At schedules fn to run at absolute virtual time t on the current
-// context shard (shard 0 for setup/system code). It must only be
-// called from single-threaded phases — setup, tests, system events,
-// or any serial run; windowed rank code uses Proc-scoped scheduling.
+// context shard (shard 0 for setup/system code).
 func (e *Engine) At(t Time, fn func()) *Event {
 	ev := e.scheduleCtx(t)
 	ev.fn = fn
 	return ev
 }
 
-// scheduleCtx schedules on the current single-threaded context shard
-// with the engine-clock causality check (the pre-sharding contract).
+// scheduleCtx schedules on the current context shard with the
+// engine-clock causality check (the pre-sharding contract).
 func (e *Engine) scheduleCtx(t Time) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -591,9 +419,7 @@ func (e *Engine) scheduleCtx(t Time) *Event {
 	ev.src = s.id
 	ev.seq = s.seq
 	s.seq++
-	s.queue.push(ev)
-	s.notePush()
-	e.onHeadChanged(s, ev)
+	e.push(s, ev)
 	return ev
 }
 
@@ -636,18 +462,6 @@ func (e *Engine) syncObs() {
 		e.exitsSynced = exits
 		e.rec.Count(CtrProcExits, int64(d))
 	}
-	if d := e.windows - e.windowsSynced; d > 0 {
-		e.windowsSynced = e.windows
-		e.rec.Count(CtrWindows, int64(d))
-	}
-	if d := e.windowShards - e.windowShardsSynced; d > 0 {
-		e.windowShardsSynced = e.windowShards
-		e.rec.Count(CtrWindowShards, int64(d))
-	}
-	if d := e.horizonStalls - e.stallsSynced; d > 0 {
-		e.stallsSynced = e.horizonStalls
-		e.rec.Count(CtrHorizonStalls, int64(d))
-	}
 	e.rec.Gauge(GaugeQueueDepthMax, float64(e.MaxQueueDepth()))
 }
 
@@ -659,9 +473,9 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Stop halts the run loop after the currently executing event (or, in
-// windowed mode, the current window) completes. Pending events remain
-// queued; a subsequent Run call resumes from them.
+// Stop halts the run loop after the currently executing event
+// completes. Pending events remain queued; a subsequent Run call
+// resumes from them.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the last Run.
@@ -677,9 +491,11 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // case; callers can inspect LiveProcs to distinguish it from normal
 // completion.
 //
-// With SetParallel(n>0) and a positive SetLookahead, Run uses the
-// windowed conservative executor; results are bit-identical to the
-// serial loop.
+// Run's goroutine owns the loop only until it hands it to a process
+// (drive); the loop then travels from process to process without this
+// goroutine and comes back through idle — once per run for a program of
+// processes and payload callbacks alone, once per closure event
+// otherwise.
 func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run while running")
@@ -689,37 +505,14 @@ func (e *Engine) Run(until Time) Time {
 	e.until = until
 	defer func() {
 		e.running = false
-		e.inWindow = false
-		e.curH = 0
-		// Only a panic unwinding mid-window leaves shards here: zero their
-		// horizons so parked ranks acknowledge Shutdown instead of
-		// re-entering a window loop nobody will finish.
-		for _, s := range e.active {
-			s.horizon = 0
-		}
 		e.ctx = e.shards[0]
 		e.syncObs()
 	}()
-	if e.workers > 0 && e.lookahead > 0 {
-		return e.runWindowed(until)
-	}
-	e.runSerial(math.MaxInt64)
-	return e.now
-}
-
-// runSerial owns the global event loop on Run's goroutine until the run
-// is over or quota events have been popped (the windowed executor steps
-// a system-shard event through it with quota 1). drive returns here
-// only to rest or after handing the loop to a process; the loop then
-// travels from process to process without this goroutine and comes back
-// through idle — once per run for a program of processes and payload
-// callbacks alone, once per closure event otherwise.
-func (e *Engine) runSerial(quota int64) {
-	e.quota = quota
 	for e.drive(nil) == loopHanded {
 		e.rests++
 		<-e.idle
 	}
+	return e.now
 }
 
 // drive continues the global event loop on the calling goroutine:
@@ -728,8 +521,8 @@ func (e *Engine) runSerial(quota int64) {
 // the system and runs payload callbacks inline, hands control to the
 // next dispatched process (see handoff: no switch when that is self,
 // one resume send otherwise), and where the loop needs Run's goroutine
-// — the run is over (queue empty, Stop, until, quota) or a closure
-// event is due — a driving process signals idle and stays parked.
+// — the run is over (queue empty, Stop, until) or a closure event is
+// due — a driving process signals idle and stays parked.
 //
 // Closure events (At/After) run on Run's goroutine only, so a
 // panicking closure unwinds Run's caller rather than a process. The
@@ -759,7 +552,7 @@ func (e *Engine) drive(self *Proc) loopAction {
 				e.headsFix(s)
 			}
 		}
-		if e.quota == 0 || e.stopped || len(e.heads) == 0 {
+		if e.stopped || len(e.heads) == 0 {
 			return e.rest(self)
 		}
 		s := e.heads[0].s
@@ -774,7 +567,6 @@ func (e *Engine) drive(self *Proc) loopAction {
 		s.queue.popMin()
 		s.active = true
 		e.stepping = s
-		e.quota--
 		if ev.canceled {
 			s.recycle(ev)
 			continue
@@ -794,8 +586,8 @@ func (e *Engine) drive(self *Proc) loopAction {
 			return handoff(q, self, t)
 		case ev.procs != nil:
 			// One heap pop releases the whole waiter list; each dispatch
-			// counts as a fired event, like the one-event-per-waiter form
-			// the windowed mode uses.
+			// counts as a fired event, like the per-waiter wakes it stands
+			// for.
 			e.group, e.groupAt = ev, 0
 		case ev.pfn != nil:
 			s.fired++
@@ -825,11 +617,11 @@ func (e *Engine) rest(self *Proc) loopAction {
 func (e *Engine) RunAll() Time { return e.Run(0) }
 
 // PendingEvents reports the number of queued (possibly canceled)
-// events across all shards and inboxes.
+// events across all shards.
 func (e *Engine) PendingEvents() int {
 	n := 0
 	for _, s := range e.shards {
-		n += len(s.queue) + len(s.inbox)
+		n += len(s.queue)
 	}
 	return n
 }
@@ -866,8 +658,7 @@ func (e *Engine) Shutdown() {
 // counters restart from zero — which is what lets campaigns reuse one
 // engine across seeds instead of reallocating per run. Live processes
 // are Shutdown first; the attached recorder is kept (pass a new one via
-// SetRecorder for the next run). Parallelism and lookahead revert to
-// serial defaults; callers re-apply them per run.
+// SetRecorder for the next run).
 func (e *Engine) Reset(seed int64) {
 	if e.running {
 		panic("sim: Reset while running")
@@ -893,22 +684,10 @@ func (e *Engine) Reset(seed int64) {
 	e.now = 0
 	e.stopped = false
 	e.shutdown = false
-	e.workers = 0
-	e.lookahead = 0
-	e.inWindow = false
-	e.curH = 0
-	e.active = e.active[:0]
-	e.dirty = e.dirty[:0]
-	e.windows = 0
-	e.windowShards = 0
-	e.horizonStalls = 0
 	e.eventsSynced = 0
 	e.sleepsSynced = 0
 	e.spawnsSynced = 0
 	e.exitsSynced = 0
-	e.windowsSynced = 0
-	e.windowShardsSynced = 0
-	e.stallsSynced = 0
 	e.depthEvented = 0
 	e.ctx = e.shards[0]
 	e.seed = seed

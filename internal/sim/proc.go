@@ -49,8 +49,8 @@ func (s ProcState) String() string {
 // called from the process's own goroutine.
 //
 // Every process is homed on one shard: its sleep wakes and spawned
-// events live in that shard's queue, and in windowed mode the shard is
-// the unit that executes independently between horizon barriers.
+// events are stamped by that shard and live in its queue, and its
+// shard-local id is its canonical wake stamp.
 type Proc struct {
 	ID   int
 	Name string
@@ -77,19 +77,17 @@ func (p *Proc) State() ProcState { return p.state }
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the process's current virtual time: the time of the event
-// that last dispatched it, advanced by any sleeps since. Unlike
-// Engine.Now it is exact in windowed mode, so process bodies must use
-// it. Outside the process's own execution it reports the time the
-// process last ran (or went to sleep toward).
+// that last dispatched it. While the process runs that equals
+// Engine.Now; outside its own execution it reports the time the process
+// last ran, which observers (a collective releasing parked members)
+// read as the member's entry time.
 func (p *Proc) Now() Time { return p.now }
 
 // Shard reports the id of the shard the process is homed on.
 func (p *Proc) Shard() int { return int(p.shard.id) }
 
-// newProc allocates (or reuses) a Proc homed on shard s. The caller
-// must own s's execution context.
+// newProc allocates (or reuses) a Proc homed on shard s.
 func (e *Engine) newProc(name string, s *shard) *Proc {
-	e.procMu.Lock()
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
 		// Reuse a pooled Proc (and its resume channel) from a previous
@@ -108,7 +106,6 @@ func (e *Engine) newProc(name string, s *shard) *Proc {
 	p.now = 0
 	e.procs = append(e.procs, p)
 	e.liveProcs++
-	e.procMu.Unlock()
 	p.localID = s.procSeq
 	s.procSeq++
 	s.spawns++
@@ -119,11 +116,11 @@ func (e *Engine) newProc(name string, s *shard) *Proc {
 // stamped by shard src (the caller's context), and launches its
 // goroutine in the parked state.
 func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Proc)) *Proc {
-	if !e.inWindow && start < e.now {
+	if start < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", start, e.now))
 	}
 	p := e.newProc(name, home)
-	if !e.inWindow && e.rec.Enabled() {
+	if e.rec.Enabled() {
 		e.rec.Event(start, EvProcSpawn, obs.Int("proc", int64(p.ID)), obs.Str("name", name))
 	}
 	go func() {
@@ -135,25 +132,16 @@ func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Pro
 			}
 			p.state = ProcDone
 			p.shard.exits++
-			e.procMu.Lock()
 			e.liveProcs--
-			e.procMu.Unlock()
-			if !e.inWindow && e.rec.Enabled() {
+			if e.rec.Enabled() {
 				e.rec.Event(e.now, EvProcStop, obs.Int("proc", int64(p.ID)), obs.Str("name", p.Name))
 			}
 			// Hand control on for good, exactly like a park that is never
 			// resumed: acknowledge a Shutdown order, or continue the loop
-			// this goroutine owns — inside a window its shard's, then
-			// further active shards (see Engine.runChain); otherwise the
-			// global one (p is Done, so it can only hand off or come to rest).
-			switch sh := p.shard; {
-			case e.shutdown:
+			// (p is Done, so it can only hand off or come to rest).
+			if e.shutdown {
 				e.idle <- struct{}{}
-			case sh.horizon > 0:
-				if sh.runLoop(nil) == loopDone {
-					e.runChain(sh)
-				}
-			default:
+			} else {
 				e.drive(p)
 			}
 		}()
@@ -181,9 +169,10 @@ func (e *Engine) Spawn(name string, start Time, body func(*Proc)) *Proc {
 }
 
 // SpawnOn creates a process homed on the given shard (growing the
-// shard table as needed). The MPI world homes each rank on its own
-// shard; shard 0 is reserved for system activity. It must be called
-// from a single-threaded phase (setup or a system event).
+// shard table as needed). The MPI world homes each group of ranks on
+// its own shard; shard 0 is reserved for system activity. The start
+// event is stamped by the context shard, so it is for setup code and
+// system events.
 func (e *Engine) SpawnOn(shardID int, name string, start Time, body func(*Proc)) *Proc {
 	if shardID < 0 {
 		panic("sim: SpawnOn with negative shard")
@@ -197,18 +186,18 @@ func (e *Engine) SpawnNow(name string, body func(*Proc)) *Proc {
 }
 
 // SpawnNow creates a child process homed on p's own shard, starting at
-// p's current time. Mid-run spawns (worker threads) must go through
-// the parent so the child lands on the parent's shard in every mode.
+// p's current time. Mid-run spawns (worker threads) go through the
+// parent so the child lands on, and is stamped by, the parent's shard.
 func (p *Proc) SpawnNow(name string, body func(*Proc)) *Proc {
 	return p.eng.spawn(p.shard, p.shard, name, p.now, body)
 }
 
 // handoff gives control to q at virtual time t on behalf of the loop
 // owner self (nil on Run's goroutine): the one way a process is made
-// to run, in both executors. When q is the owner itself — its own wake
-// came up next — it simply keeps going, with no goroutine switch;
-// otherwise q is readied with one resume send, after which the caller
-// must read no engine, shard or event state: q owns it all.
+// to run. When q is the owner itself — its own wake came up next — it
+// simply keeps going, with no goroutine switch; otherwise q is readied
+// with one resume send, after which the caller must read no engine,
+// shard or event state: q owns it all.
 func handoff(q, self *Proc, t Time) loopAction {
 	if q.state == ProcDone {
 		panic("sim: dispatching terminated process " + q.Name)
@@ -224,30 +213,19 @@ func handoff(q, self *Proc, t Time) loopAction {
 }
 
 // park gives up control and blocks until resumed. Whoever parks
-// drives: the parking goroutine itself carries the event loop forward
-// — the global one (Engine.drive), or inside a window its shard's
-// (shard.runLoop, then Engine.runChain once that is exhausted). It
-// resumes inline when its own wake is the next dispatch, hands control
-// straight to the next dispatched process otherwise, and signals Run's
-// goroutine only when the loop comes to rest. During Shutdown the park
-// is an acknowledgement and the resume a termination order: park
-// unwinds the goroutine with a procExit panic so the caller's defers
-// still run.
+// drives: the parking goroutine itself carries the event loop
+// (Engine.drive) forward. It resumes inline when its own wake is the
+// next dispatch, hands control straight to the next dispatched process
+// otherwise, and signals Run's goroutine only when the loop comes to
+// rest. During Shutdown the park is an acknowledgement and the resume a
+// termination order: park unwinds the goroutine with a procExit panic
+// so the caller's defers still run.
 func (p *Proc) park(state ProcState) {
 	p.state = state
-	sh, e := p.shard, p.eng
-	act := loopHanded
-	switch {
-	case e.shutdown:
+	e := p.eng
+	if e.shutdown {
 		e.idle <- struct{}{}
-	case sh.horizon > 0:
-		if act = sh.runLoop(p); act == loopDone {
-			e.runChain(sh)
-		}
-	default:
-		act = e.drive(p)
-	}
-	if act == loopSelf {
+	} else if e.drive(p) == loopSelf {
 		return
 	}
 	<-p.resume
@@ -271,7 +249,8 @@ func (p *Proc) Sleep(d time.Duration) {
 // SleepUntil parks the process until absolute time t without consuming
 // any tracing penalty: the raw wait the MPI collectives use for their
 // internal rendezvous, so that penalty is charged against program-order
-// sleeps only — an accounting that is independent of execution mode.
+// sleeps only — an accounting that cannot depend on which member a
+// collective's wake happens to route through.
 func (p *Proc) SleepUntil(t Time) {
 	if t < p.now {
 		t = p.now
@@ -283,21 +262,8 @@ func (p *Proc) sleepTo(t Time) {
 	s := p.shard
 	e := p.eng
 	s.sleeps++
-	if !e.inWindow && e.traceProcs && e.rec.Enabled() {
+	if e.traceProcs && e.rec.Enabled() {
 		e.rec.Event(e.now, EvProcSleep, obs.Int("proc", int64(p.ID)), obs.Dur("dur_us", t-p.now))
-	}
-	// Windowed fast path: when the wake would be this shard's very next
-	// event and lands inside the current horizon, skip the heap and the
-	// goroutine handoff entirely — account for the phantom event and keep
-	// running. This is the batching that makes windows fast: a rank's
-	// compute/communicate cycle executes back-to-back on a hot stack
-	// instead of going through the shard's queue per sleep.
-	if s.horizon > 0 && t < s.horizon && (len(s.queue) == 0 || keyBefore(t, s.id, s.seq, s.queue[0])) {
-		s.fired++
-		s.noteDepth(len(s.queue) + 1)
-		s.now = t
-		p.now = t
-		return
 	}
 	ev := e.scheduleLocal(s, t)
 	ev.proc = p
@@ -316,9 +282,9 @@ func (p *Proc) Suspend() {
 // the current context shard. It panics if the process is not suspended:
 // waking a sleeping or running process would corrupt the handoff
 // protocol, and indicates a logic error in the caller (e.g. completing
-// the same MPI request twice). It must be called from a single-threaded
-// phase; simulated processes waking each other use WakeAtLocal (same
-// shard) or WakePeerAt (cross-shard).
+// the same MPI request twice). Simulated processes waking each other
+// use WakeAtLocal (same shard) or WakePeerAt (cross-shard), whose
+// stamps do not depend on the context shard.
 func (p *Proc) WakeAt(t Time) {
 	if p.state != ProcSuspended {
 		panic(fmt.Sprintf("sim: WakeAt(%s) in state %s", p.Name, p.state))
@@ -349,28 +315,14 @@ func (p *Proc) WakeAtLocal(t Time) {
 // (home shard, shard-local id) rather than p's counter: the identity
 // of the process that happens to perform a cross-shard wake (say, the
 // last rank to arrive at a collective) depends on execution order, so
-// the event's queue position must be derived from the woken process
-// alone for serial and windowed runs to order it identically. In
-// windowed mode t must respect the engine's lookahead when q is on
-// another shard.
-//
-// In a multi-worker window a cross-shard target's state cannot be
-// touched from here: q registered itself (under the caller's lock) and
-// then parked on its own shard's goroutine, so its state word is still
-// in flight. The wake is routed through q's inbox and the
-// suspended→sleeping marking is deferred to the window barrier
-// (runWindow's drain), where all shard execution has quiesced.
+// the event's queue position is derived from the woken process alone,
+// and the event order does not hinge on who the waker was.
 func (p *Proc) WakePeerAt(q *Proc, t Time) {
-	e := p.eng
-	if e.inWindow && e.workers > 1 && q.shard != p.shard {
-		e.scheduleWake(p.shard, q, t)
-		return
-	}
 	if q.state != ProcSuspended {
 		panic(fmt.Sprintf("sim: WakeAt(%s) in state %s", q.Name, q.state))
 	}
 	q.state = ProcSleeping
-	q.wake = e.scheduleWake(p.shard, q, t)
+	q.wake = p.eng.scheduleWake(p.shard, q, t)
 }
 
 // Wake resumes a suspended process at the current virtual time (see

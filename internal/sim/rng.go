@@ -2,10 +2,10 @@ package sim
 
 // Rng is a tiny splitmix64 random stream. The simulator gives every
 // rank its own Rng so that random draws are a function of (seed, rank,
-// per-rank draw index) rather than of global execution order — the
-// property that lets the windowed parallel executor reproduce the
-// serial engine's results bit-for-bit: a rank's jitter sequence is the
-// same no matter how its events interleave with other shards'.
+// per-rank draw index) rather than of global execution order: a rank's
+// jitter sequence is the same no matter how its events interleave with
+// other shards', so a change to one rank's dispatch cannot reshuffle
+// another rank's randomness.
 //
 // It implements the one-method Uniform contract the latency model
 // consumes (Float64 in [0,1)), like math/rand.Rand.

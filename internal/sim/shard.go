@@ -1,25 +1,20 @@
 package sim
 
-import (
-	"sync"
-)
-
 // wakeSeqBit marks an event sequence number as a canonical wake stamp:
-// the event was created by a cross-shard wake, whose *scheduler*
-// identity depends on execution order, so it is keyed by the woken
-// process's shard-local id instead of by any scheduler's counter. The
-// bit keeps canonical stamps disjoint from per-shard counter stamps,
-// preserving a total order that is identical in serial and windowed
-// execution.
+// the event was created by a cross-shard wake, whose *waker* is an
+// accident of dispatch order, so it is keyed by the woken process's
+// shard-local id instead of by any waker's counter. The bit keeps
+// canonical stamps disjoint from per-shard counter stamps, so the total
+// order stays a function of the program.
 const wakeSeqBit = uint64(1) << 63
 
 // eventBefore is the queue's total order: earlier virtual time first,
 // then originating shard, then the origin's sequence stamp. Within one
 // shard the (src, seq) pair restores plain scheduling-order FIFO; for
 // the single-shard programs of the test suite the order is therefore
-// exactly the pre-sharding (when, seq) contract. Because the order is
-// total and independent of heap layout, serial and windowed runs pop
-// the same shard's events in the same sequence.
+// exactly the pre-sharding (when, seq) contract. The order is total and
+// independent of heap layout, so the same program pops the same events
+// in the same sequence however its runs are sliced.
 func eventBefore(a, b *Event) bool {
 	if a.when != b.when {
 		return a.when < b.when
@@ -28,19 +23,6 @@ func eventBefore(a, b *Event) bool {
 		return a.src < b.src
 	}
 	return a.seq < b.seq
-}
-
-// keyBefore compares a hypothetical event key against an existing
-// event; the windowed inline-sleep fast path uses it to prove that a
-// wake would be the shard's next event without materializing it.
-func keyBefore(when Time, src int32, seq uint64, b *Event) bool {
-	if when != b.when {
-		return when < b.when
-	}
-	if src != b.src {
-		return src < b.src
-	}
-	return seq < b.seq
 }
 
 // eventHeap is a binary min-heap ordered by eventBefore. The sift
@@ -105,13 +87,12 @@ func (h *eventHeap) popMin() *Event {
 
 // shard is one event queue of the sharded engine. Shard 0 is the
 // system shard (monitor, detectors, watchdogs, chaos, test and setup
-// callbacks); the MPI world gives every rank its own shard, so a
-// shard's queue holds only the events of one logical process group and
-// stays a handful of entries deep regardless of world size.
+// callbacks); the MPI world gives each group of ranks its own shard, so
+// a shard's queue holds only the events of one logical process group
+// and stays a handful of entries deep regardless of world size.
 //
-// Each shard owns its event free list and slab and its sequence
-// counter, so during windowed execution one worker can drive a shard
-// without touching any other shard's memory.
+// Each shard owns its sequence counter, because event stamps are
+// (shard, counter) pairs, and its event free list and slab.
 type shard struct {
 	id  int32
 	eng *Engine
@@ -125,19 +106,12 @@ type shard struct {
 	free []*Event // recycled events
 	slab []Event  // slab backing for new events (batch allocation)
 
-	// Head-heap bookkeeping (engine-owned, coordinator-only).
+	// Head-heap bookkeeping.
 	pos    int32 // index in Engine.heads; -1 when absent
-	active bool  // held out of heads maintenance: stepping (stale key) or in a window
-
-	// Windowed-execution state.
-	horizon   Time // end (exclusive) of the window being executed; 0 outside
-	committed Time // all events before this time have executed
-	inbox     []*Event
-	inboxMu   sync.Mutex
-	indirty   bool // queued on Engine.dirty (guarded by Engine.dirtyMu)
+	active bool  // stepping: held out of heads maintenance under a stale key
 
 	// Tallies folded into the recorder by Engine.syncObs.
-	fired    uint64 // events fired (inline fast-path sleeps included)
+	fired    uint64 // events fired
 	sleeps   uint64
 	spawns   uint64
 	exits    uint64
@@ -181,22 +155,13 @@ func (s *shard) recycle(ev *Event) {
 	s.free = append(s.free, ev)
 }
 
-// noteDepth updates the shard's depth high-water mark after a push (or
-// an inline sleep that stands in for one).
-func (s *shard) noteDepth(n int) {
-	if n > s.maxDepth {
-		s.maxDepth = n
-	}
-}
-
-// loopAction is how one invocation of an event loop (Engine.drive, the
-// global serial loop; shard.runLoop, one shard's window) ended.
+// loopAction is how one invocation of the event loop (Engine.drive)
+// ended.
 type loopAction int
 
 const (
-	// loopDone: nothing is left for this loop (the run or step quota is
-	// over; the window is exhausted) and the calling goroutine is its
-	// last owner.
+	// loopDone: the run is over and the calling goroutine (Run's) is the
+	// loop's last owner.
 	loopDone loopAction = iota
 	// loopHanded: control of the loop was handed to another goroutine;
 	// the caller must not touch engine, shard or event state again.
@@ -206,73 +171,18 @@ const (
 	loopSelf
 )
 
-// runLoop advances the shard's event loop until the window is
-// exhausted, control is handed to a dispatched process, or (when self
-// is non-nil) the next event is self's own wake. It runs on whichever
-// goroutine currently owns the shard: a window chain starts it (see
-// Engine.runChain), and every parking or exiting process continues it
-// — the window-bounded, per-shard form of Engine.drive's protocol: one
-// goroutine switch per cross-process dispatch (see handoff), callback
-// events inline on the owning goroutine with none. After a handoff the
-// previous owner touches no shard state (the fired event is recycled
-// before the resume send), so the invariant "one goroutine owns the
-// shard" holds even with parallel workers. The caller must have set s.horizon; whoever gets
-// loopDone owns the shard's completion (Engine.shardDone).
-func (s *shard) runLoop(self *Proc) loopAction {
-	for len(s.queue) > 0 {
-		ev := s.queue[0]
-		if ev.when >= s.horizon {
-			break
-		}
-		s.queue.popMin()
-		if ev.canceled {
-			s.recycle(ev)
-			continue
-		}
-		s.now = ev.when
-		switch {
-		case ev.proc != nil:
-			q, t := ev.proc, ev.when
-			s.fired++
-			s.recycle(ev)
-			return handoff(q, self, t)
-		case ev.procs != nil:
-			// Group wakes exist only in serial mode (wakeAll fans out
-			// per-waiter whenever the windowed executor is configured).
-			panic("sim: group wake event on a windowed shard")
-		case ev.pfn != nil:
-			s.fired++
-			ev.pfn(ev.when, ev.parg)
-			s.recycle(ev)
-		default:
-			s.fired++
-			ev.fn()
-			s.recycle(ev)
-		}
-	}
-	return loopDone
-}
-
 // reset returns the shard to its just-constructed state, draining the
-// queue and inbox into the free list and zeroing clocks, counters, and
-// tallies. Free lists and slabs are retained.
+// queue into the free list and zeroing clocks, counters, and tallies.
+// Free lists and slabs are retained.
 func (s *shard) reset() {
 	for len(s.queue) > 0 {
 		s.recycle(s.queue.popMin())
 	}
-	for i, ev := range s.inbox {
-		s.recycle(ev)
-		s.inbox[i] = nil
-	}
-	s.inbox = s.inbox[:0]
 	s.seq = 0
 	s.procSeq = 0
 	s.now = 0
 	s.pos = -1
 	s.active = false
-	s.horizon = 0
-	s.committed = 0
-	s.indirty = false
 	s.fired = 0
 	s.sleeps = 0
 	s.spawns = 0
@@ -284,8 +194,8 @@ func (s *shard) reset() {
 // shard's earliest event key plus the shard itself. Keys are copied
 // into the entry (rather than followed through the shard's queue) so
 // sift comparisons touch sequential memory instead of chasing event
-// pointers — at 131072 shards the merge heap is the hottest comparison
-// loop in the serial engine.
+// pointers — with hundreds of shards the merge heap is the hottest
+// comparison loop in the engine.
 type headEntry struct {
 	when Time
 	src  int32
@@ -366,20 +276,12 @@ func (e *Engine) headsRemove(s *shard) {
 	}
 }
 
-// headsPopMin removes and returns the shard with the earliest head.
-func (e *Engine) headsPopMin() *shard {
-	s := e.heads[0].s
-	e.headsRemove(s)
-	return s
-}
-
-// onHeadChanged is called after a push into s's queue from a
-// single-threaded context. If the shard sits in the merge heap its key
-// may have decreased; if it is absent and not held out as active, it
-// must be (re)inserted.
+// onHeadChanged is called after a push into s's queue. If the shard
+// sits in the merge heap its key may have decreased; if it is absent
+// and not held out as active, it must be (re)inserted.
 func (e *Engine) onHeadChanged(s *shard, ev *Event) {
 	if s.active {
-		return // re-keyed when its step or window completes
+		return // re-keyed when its step completes
 	}
 	if s.pos < 0 {
 		e.headsInsert(s)

@@ -28,7 +28,7 @@ func (p Params) chunk(r *mpi.Rank, frac float64) time.Duration {
 	if p.Skew > 0 {
 		// Rank-local stream: chunk draws happen in rank execution
 		// context, so a shared stream would make the sequence depend on
-		// scheduling order (serial vs. windowed parallel).
+		// the order ranks happen to be dispatched in.
 		d *= 1 + p.Skew*(2*r.Rand().Float64()-1)
 	}
 	return time.Duration(d)

@@ -253,12 +253,6 @@ func LookupPlatform(name string) (Profile, error) { return noise.Lookup(name) }
 // PlatformNames lists the known platform profiles.
 func PlatformNames() []string { return noise.Names() }
 
-// PlatformByName returns a named profile.
-//
-// Deprecated: use LookupPlatform, which returns an error instead of
-// panicking on unknown names.
-func PlatformByName(name string) Profile { return noise.ByName(name) }
-
 // ParseFaultKind parses a fault-kind name ("none", "computation",
 // "node", "deadlock").
 func ParseFaultKind(name string) (FaultKind, error) { return fault.Parse(name) }
