@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check bench bench-json bench-smoke bench-scale-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
+.PHONY: all build test vet race fmt-check bench bench-smoke bench-scale-smoke paper-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
 
 all: build test
 
@@ -28,18 +28,6 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Regenerate the checked-in performance artifacts: ns/op, allocs/op and
-# events/sec for the engine/monitor/campaign hot paths
-# (BENCH_engine.json), for the rank-count scaling sweep — one row per
-# world size, 256 → 131072 ranks, every events/sec figure averaged over
-# at least three full runs (BENCH_scale.json) — and for
-# the parastackd daemon pipeline — jobs/sec, p99 ingest latency, stream
-# samples/sec (BENCH_service.json). The big scale rows take minutes
-# each; expect a ~15 minute wall time. See the "Benchmarks" section of
-# README.md for the schema.
-bench-json:
-	$(GO) run ./cmd/psbench -bench-json BENCH_engine.json -bench-scale-json BENCH_scale.json -bench-service-json BENCH_service.json
-
 # One-iteration pass over every benchmark: catches bit-rot in bench
 # code without spending time on measurement.
 bench-smoke:
@@ -47,15 +35,14 @@ bench-smoke:
 
 # Scaling-pass gate: a reduced rank sweep asserting events/sec does not
 # collapse with world size, and the steady-state allocation ceilings on
-# the campaign reuse path (see internal/bench/scale_test.go and
-# internal/experiment/runner_test.go). The per-sample model refit is
-# pinned allocation-free beside the runner: Add+Fit at a full window,
-# and the daemon's StreamMonitor.Ingest. The runner's own gates ride
-# along: objects and bytes per reused run, and the goroutine count
-# after runs that panicked.
+# the campaign reuse path (see internal/experiment/scale_test.go and
+# runner_test.go). The per-sample model refit is pinned
+# allocation-free beside the runner: Add+Fit at a full window, and the
+# daemon's StreamMonitor.Ingest. The runner's own gates ride along:
+# objects and bytes per reused run, and the goroutine count after runs
+# that panicked.
 bench-scale-smoke:
-	$(GO) test -run 'TestScaleSmoke$$|TestFaultyRunAllocCeiling$$' -count=1 -v ./internal/bench
-	$(GO) test -run 'TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestScaleSmoke$$|TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 
@@ -155,5 +142,17 @@ ledger-smoke:
 	@rm -rf $(LEDGER_SMOKE_DIR) /tmp/parastack-ledger-smoke.out
 	@echo "ledger-smoke: OK"
 
+# Paper byte-identity gate: the whole small-count evaluation through
+# pssweep -grid paper must print exactly cmd/pssweep/testdata/
+# paper.golden; every -table replayed from that log with -resume must
+# execute nothing and the replays, joined by blank lines, must equal the
+# full output; every -fig must hash to testdata/figures.sha256; and a
+# traced rerun must print the same bytes and leave a trace in which every
+# line is a JSON event (see cmd/pssweep/papersmoke_test.go). About four
+# minutes on two CPUs, so it sits behind a build tag, outside `go test
+# ./...`.
+paper-smoke:
+	$(GO) test -tags papersmoke -run 'TestPaperSmoke$$' -count=1 -v -timeout 30m ./cmd/pssweep
+
 # The gate PRs must pass.
-ci: fmt-check vet build race bench-smoke bench-scale-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke
+ci: fmt-check vet build race bench-smoke bench-scale-smoke sim-chain-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke paper-smoke

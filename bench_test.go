@@ -1,274 +1,18 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each benchmark regenerates its artifact at a reduced
-// campaign size (the full paper-scale counts are available via
-// cmd/psbench -runs N) and reports the headline quantities as custom
-// metrics, so `go test -bench=. -benchmem` doubles as a shape check:
-// accuracy ≈ 1, false positives ≈ 0, delays in seconds, savings in
-// percent.
+// Ablation benchmarks for the design choices DESIGN.md §5 calls out.
+// Each reports the headline quantities as custom metrics, so
+// `go test -bench=Ablation -benchmem` doubles as a shape check: how
+// detection accuracy, false positives and delay move as one knob of
+// the monitor changes. The paper's tables and figures themselves come
+// from cmd/pssweep -grid paper.
 package parastack_test
 
 import (
-	"io"
 	"strconv"
 	"testing"
 	"time"
 
 	"parastack"
-	"parastack/internal/paper"
 )
-
-func benchOpts(runs int, seed int64) paper.Options {
-	return paper.Options{Runs: runs, Seed: seed}
-}
-
-// BenchmarkTable1TimeoutBaseline regenerates Table 1 (fixed-timeout
-// accuracy/FP/delay across platforms and inputs).
-func BenchmarkTable1TimeoutBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := paper.Table1(io.Discard, benchOpts(1, int64(i+1)))
-		// Headline shape: (400ms,5) false-alarms on FT, (800ms,10) does not.
-		b.ReportMetric(rows[0].Metrics[1].FPRate, "fp(400ms,5)FT(E)")
-		b.ReportMetric(rows[3].Metrics[1].FPRate, "fp(800ms,10)FT(E)")
-		b.ReportMetric(rows[3].Metrics[3].Accuracy, "ac(800ms,10)LU")
-	}
-}
-
-// BenchmarkTable3StackTraceOverhead regenerates Table 3 (single-process
-// ptrace+unwind cost).
-func BenchmarkTable3StackTraceOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := paper.Table3(io.Discard, benchOpts(1, int64(i+1)))
-		b.ReportMetric(rows[0].Ot, "Ot@10ms_s")
-		b.ReportMetric(rows[1].Ot, "Ot@100ms_s")
-		b.ReportMetric(float64(rows[0].N), "traces@10ms")
-	}
-}
-
-// BenchmarkTable4Overhead256 regenerates Table 4 (runtime with
-// ParaStack vs clean on Tardis at 256 ranks).
-func BenchmarkTable4Overhead256(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := paper.Table4(io.Discard, benchOpts(2, int64(i+1)))
-		b.ReportMetric(overheadPct(res, "LU"), "LU_I400_ovh_%")
-		b.ReportMetric(overheadPct(res, "HPL"), "HPL_I400_ovh_%")
-	}
-}
-
-// BenchmarkTable5Overhead regenerates the Table 5 / Figure 8 overhead
-// comparison on Tianhe-2, at 256 ranks to keep the benchmark fast
-// (cmd/psbench -table 5 runs the paper's 1024-rank version).
-func BenchmarkTable5Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := paper.PerfCampaign(io.Discard, "tianhe2", 256, benchOpts(1, int64(i+1)))
-		b.ReportMetric(overheadPct(res, "CG"), "CG_I400_ovh_%")
-	}
-}
-
-func overheadPct(res []paper.PerfResult, bench string) float64 {
-	var clean, i400 float64
-	for _, r := range res {
-		if r.Bench != bench {
-			continue
-		}
-		switch r.Setting {
-		case "clean":
-			clean = r.Mean
-		case "I=400":
-			i400 = r.Mean
-		}
-	}
-	if clean == 0 {
-		return 0
-	}
-	return (i400 - clean) / clean * 100
-}
-
-// BenchmarkTable6Accuracy regenerates the Tardis@256 accuracy campaign
-// behind Tables 6 and 10 and Figure 9.
-func BenchmarkTable6Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := paper.AccuracyCampaign("tardis", 256, benchOpts(1, int64(i+1)))
-		var det, inj int
-		for _, c := range cells {
-			det += c.Metrics.Detected
-			inj += c.Metrics.Injected
-		}
-		b.ReportMetric(float64(det)/float64(inj), "ACh")
-	}
-}
-
-// BenchmarkTable7DelaysTianhe2 regenerates the campaign behind Table 7
-// on the Tianhe-2 profile (at 256 ranks; psbench runs the 1024 version).
-func BenchmarkTable7DelaysTianhe2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := paper.AccuracyCampaign("tianhe2", 256, benchOpts(1, int64(i+1)))
-		var sum float64
-		var n int
-		for _, c := range cells {
-			if c.Metrics.Delay.N > 0 {
-				sum += c.Metrics.Delay.Mean
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "mean_delay_s")
-		}
-	}
-}
-
-// BenchmarkTable8DelaysStampede regenerates the campaign behind Table 8
-// on the Stampede profile (at 256 ranks; psbench runs the 1024 version).
-func BenchmarkTable8DelaysStampede(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := paper.AccuracyCampaign("stampede", 256, benchOpts(1, int64(i+1)))
-		var sum float64
-		var n int
-		for _, c := range cells {
-			if c.Metrics.Delay.N > 0 {
-				sum += c.Metrics.Delay.Mean
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "mean_delay_s")
-		}
-	}
-}
-
-// BenchmarkTable9IntervalAdaptation regenerates Table 9 (P vs P*).
-func BenchmarkTable9IntervalAdaptation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := paper.Table9(io.Discard, benchOpts(1, int64(i+1)))
-		var acP, acStar float64
-		for _, r := range rows {
-			acP += r.P.Accuracy
-			acStar += r.PStar.Accuracy
-		}
-		b.ReportMetric(acP/float64(len(rows)), "AC_P")
-		b.ReportMetric(acStar/float64(len(rows)), "AC_P*")
-	}
-}
-
-// BenchmarkTable10Identification reports faulty-process identification
-// quality over a Tardis campaign.
-func BenchmarkTable10Identification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := paper.AccuracyCampaign("tardis", 256, benchOpts(1, int64(100+i)))
-		var acf, prf float64
-		var n int
-		for _, c := range cells {
-			if c.Metrics.FaultyChecked > 0 {
-				acf += c.Metrics.ACf
-				prf += c.Metrics.PRf
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(acf/float64(n), "ACf")
-			b.ReportMetric(prf/float64(n), "PRf")
-		}
-	}
-}
-
-// BenchmarkFalsePositiveStudy regenerates §7.1-II (clean runs, zero
-// false positives expected).
-func BenchmarkFalsePositiveStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOpts(1, int64(i+1))
-		opt.MaxScale = 256 // tardis cells only; psbench -fp runs all platforms
-		runs, fps, hours := paper.FalsePositiveStudy(io.Discard, opt)
-		b.ReportMetric(float64(fps), "false_positives")
-		b.ReportMetric(float64(runs), "clean_runs")
-		b.ReportMetric(hours.Hours(), "sim_hours")
-	}
-}
-
-// BenchmarkScaleStudy4096 regenerates §7.1-III up to 4096 ranks.
-func BenchmarkScaleStudy4096(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := paper.ScaleStudy(io.Discard, paper.Options{Runs: 1, Seed: int64(i + 1), MaxScale: 4096})
-		var det, inj int
-		for _, c := range cells {
-			det += c.Metrics.Detected
-			inj += c.Metrics.Injected
-		}
-		if inj > 0 {
-			b.ReportMetric(float64(det)/float64(inj), "ACh@4096")
-		}
-	}
-}
-
-// BenchmarkFigure2SoutTraces regenerates the healthy Sout series.
-func BenchmarkFigure2SoutTraces(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := paper.Figure2(io.Discard, benchOpts(1, int64(i+1)))
-		b.ReportMetric(float64(len(series["LU"])), "LU_points")
-	}
-}
-
-// BenchmarkFigure3FaultySout regenerates the faulty-run Sout series.
-func BenchmarkFigure3FaultySout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, faultAt := paper.Figure3(io.Discard, benchOpts(1, int64(i+1)))
-		b.ReportMetric(float64(len(pts)), "points")
-		b.ReportMetric(faultAt.Seconds(), "fault_at_s")
-	}
-}
-
-// BenchmarkFigure4ModelPanels regenerates the Scrout-model ECDF panels.
-func BenchmarkFigure4ModelPanels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		panels := paper.Figure4(io.Discard, benchOpts(1, int64(i+1)))
-		if len(panels) > 0 {
-			b.ReportMetric(panels[len(panels)-1].Q, "final_q")
-		}
-	}
-}
-
-// BenchmarkFigure5SampleSizeCurves regenerates the analytic Figure 5.
-func BenchmarkFigure5SampleSizeCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		anchors := paper.Figure5(io.Discard, paper.Options{})
-		b.ReportMetric(anchors[0.3][1], "nm@e=0.3")
-	}
-}
-
-// BenchmarkFigure7PerRunRuntimes regenerates Figure 7's per-run series
-// on the Stampede profile (at 256 ranks; psfig -fig 7 runs 1024).
-func BenchmarkFigure7PerRunRuntimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := paper.PerfCampaign(io.Discard, "stampede", 256, benchOpts(1, int64(i+1)))
-		b.ReportMetric(overheadPct(res, "SP"), "SP_I400_ovh_%")
-	}
-}
-
-// BenchmarkFigure9DelayHistogram regenerates the delay distribution.
-func BenchmarkFigure9DelayHistogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		campaigns := map[string][]paper.AccuracyCell{
-			"tardis": paper.AccuracyCampaign("tardis", 256, benchOpts(1, int64(i+1))),
-		}
-		hists := paper.Figure9(io.Discard, campaigns, benchOpts(1, int64(i+1)))
-		total := 0
-		for _, h := range hists {
-			for _, c := range h {
-				total += c
-			}
-		}
-		b.ReportMetric(float64(total), "detected_runs")
-	}
-}
-
-// BenchmarkFigure10BatchSavings regenerates the time-savings experiment.
-func BenchmarkFigure10BatchSavings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := paper.Figure10(io.Discard, benchOpts(3, int64(i+1)))
-		b.ReportMetric(res.MeanPct, "mean_savings_%")
-	}
-}
-
-// --- Ablations (DESIGN.md §5) ---
 
 // ablationRun executes one faulty CG-like run with a configurable
 // monitor and returns (detected, falsePositive, delaySeconds).
@@ -401,36 +145,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchSink keeps benchmark loop results observable so the compiler
-// cannot eliminate the measured work as dead code.
-var benchSink int
-
-// BenchmarkMonitorSamplingCost measures the per-sample cost of the
-// monitor machinery itself (stack-state scan) outside a simulation.
-// The finer-grained suite lives in internal/bench (cmd/psbench
-// -bench-json) and the internal/sim and internal/core benchmarks.
-func BenchmarkMonitorSamplingCost(b *testing.B) {
-	eng := parastack.NewEngine(1)
-	w := parastack.NewWorld(eng, 256, parastack.Latency{})
-	cluster := parastack.NewCluster(8, 32, 1)
-	m := parastack.NewMonitor(w, cluster, parastack.MonitorConfig{KeepHistory: false})
-	_ = m
-	// Approximate one sampling round: trace 10 stacks + model work.
-	ranks := cluster.PickMonitorSet(eng.Rand(), 10, nil).Ranks
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		out := 0
-		for _, id := range ranks {
-			if !w.Rank(id).InMPI() {
-				out++
-			}
-		}
-		total += out
-	}
-	benchSink = total
 }
 
 func benchName(prefix string, v int) string {

@@ -2,8 +2,8 @@ package core
 
 // Monitor hot-path performance suite: the steady-state sampling round
 // (trace the active set, update the model, record the sample) must be
-// allocation-free, with or without KeepHistory. The same scenario backs
-// the monitor entries of BENCH_engine.json via internal/bench.
+// allocation-free, with or without KeepHistory. go run ./benchmark
+// reports the same round as core.sample_round_ns_256/_4096.
 
 import (
 	"testing"

@@ -370,7 +370,8 @@ func (m *Monitor) TotalSamples() int { return m.totalSamples }
 // simulation loop: trace the active monitor set, fold the Scrout value
 // into the model, and record the sample. The monitor's run loop
 // performs exactly these steps per wakeup; SampleOnce exposes them so
-// benchmarks (internal/bench, cmd/psbench -bench-json) can measure the
+// benchmarks (this package's BenchmarkSamplingRound*, the
+// core.sample_round_ns_* metrics of go run ./benchmark) can measure the
 // per-sample cost — which must stay allocation-free — directly. A
 // round discarded by the chaos-degradation quorum rule contributes
 // nothing to the model and returns 0.

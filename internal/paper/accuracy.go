@@ -79,8 +79,8 @@ func AccuracyCampaign(platform string, scale int, opt Options) []AccuracyCell {
 }
 
 // Table6 reproduces Table 6 (hang-detection accuracy ACh) across the
-// three platforms; it returns the campaigns so Tables 7/8/10 and
-// Figure 9 can reuse them without re-running.
+// three platforms; it returns the campaigns so Tables 7/8/10 can reuse
+// them without re-running.
 func Table6(w io.Writer, opt Options) map[string][]AccuracyCell {
 	opt = opt.withDefaults(5)
 	campaigns := map[string][]AccuracyCell{
@@ -116,14 +116,14 @@ func findCell(cells []AccuracyCell, bench string) *AccuracyCell {
 
 // Table7 reproduces Table 7 (response delays on Tianhe-2 at 1024):
 // mean and standard deviation in seconds per benchmark.
-func Table7(w io.Writer, campaigns map[string][]AccuracyCell, opt Options) {
+func Table7(w io.Writer, campaigns map[string][]AccuracyCell) {
 	fmt.Fprintln(w, "Table 7: response delay on tianhe2 @1024 (seconds)")
 	printDelays(w, campaigns["tianhe2"])
 }
 
 // Table8 reproduces Table 8 (response delays on Stampede at 1024; the
 // 4096 row comes from the scale study).
-func Table8(w io.Writer, campaigns map[string][]AccuracyCell, opt Options) {
+func Table8(w io.Writer, campaigns map[string][]AccuracyCell) {
 	fmt.Fprintln(w, "Table 8: response delay on stampede @1024 (seconds)")
 	printDelays(w, campaigns["stampede"])
 }
@@ -137,7 +137,7 @@ func printDelays(w io.Writer, cells []AccuracyCell) {
 
 // Table10 reproduces Table 10 (faulty-process identification): ACf and
 // PRf per platform and benchmark, over the Table 6 campaigns.
-func Table10(w io.Writer, campaigns map[string][]AccuracyCell, opt Options) {
+func Table10(w io.Writer, campaigns map[string][]AccuracyCell) {
 	fmt.Fprintln(w, "Table 10: faulty process identification (ACf, PRf)")
 	fmt.Fprintf(w, "%-8s | %-18s | %-18s | %-18s\n", "bench", "tardis@256", "tianhe2@1024", "stampede@1024")
 	for _, b := range []string{"BT", "CG", "FT", "LU", "MG", "SP", "HPCG", "HPL"} {

@@ -149,11 +149,12 @@ func Figure5(w io.Writer, opt Options) map[float64][2]float64 {
 }
 
 // Figure9 reproduces Figure 9: response-delay histograms over the
-// Tardis@256 erroneous campaigns (bins of 2s, as in the paper's x-axis).
-func Figure9(w io.Writer, campaigns map[string][]AccuracyCell, opt Options) map[string][]int {
+// Tardis@256 erroneous campaigns of Table 6 (bins of 2s, as in the
+// paper's x-axis).
+func Figure9(w io.Writer, opt Options) map[string][]int {
 	out := map[string][]int{}
 	fmt.Fprintln(w, "Figure 9: response delay distribution, tardis @256 (2s bins)")
-	for _, cell := range campaigns["tardis"] {
+	for _, cell := range AccuracyCampaign("tardis", 256, opt) {
 		var delays []float64
 		for _, r := range cell.Results {
 			if r.Detected {

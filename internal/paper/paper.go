@@ -1,13 +1,13 @@
 // Package paper regenerates every table and figure of the ParaStack
 // paper's evaluation (§3 Table 1, §7 Tables 3-10, Figures 2-5 and
-// 7-10) on the simulated substrate. It is shared by cmd/psbench,
-// cmd/psfig, and the repository's benchmark suite.
+// 7-10) on the simulated substrate. Tables and Figures register every
+// generator under the name cmd/pssweep -grid paper selects it by.
 //
 // Each generator writes a human-readable table (or CSV series for
 // figures) to an io.Writer and returns the underlying numbers so tests
-// and benchmarks can assert on shapes. Options.Runs scales campaign
-// sizes: the paper's full run counts take hours of CPU; the defaults
-// reproduce the same shapes in minutes.
+// can assert on shapes. Options.Runs scales campaign sizes: the
+// paper's full run counts take hours of CPU; the defaults reproduce the
+// same shapes in minutes.
 package paper
 
 import (
@@ -39,11 +39,12 @@ type Options struct {
 	// MaxScale caps the largest rank count exercised by the scale
 	// experiments (default 4096; the paper goes to 16384).
 	MaxScale int
-	// Trace, when non-nil, receives every campaign run's structured
-	// events (psbench -trace).
+	// Trace, when non-nil, receives the structured events of every run
+	// that executes (pssweep -grid paper -trace); runs replayed from a
+	// results log emit none.
 	Trace obs.Sink
 	// Stats, when non-nil, accumulates counter totals across every run
-	// of every campaign (psbench -metrics).
+	// that executes (pssweep -grid paper -metrics).
 	Stats *obs.Totals
 	// Campaign, when non-nil, replaces experiment.Campaign as the
 	// engine behind every generator — the seam through which
@@ -301,19 +302,6 @@ func Table4(w io.Writer, opt Options) []PerfResult {
 	return perfTable(w, "Table 4: overhead on tardis @256", "tardis", 256, perfBenches256, opt)
 }
 
-// PerfCampaign runs the clean / I=100 / I=400 overhead comparison for
-// one platform at an arbitrary scale — the building block of Tables 4-5
-// and Figures 7-8, also used by the benchmark suite at reduced scale.
-func PerfCampaign(w io.Writer, platform string, scale int, opt Options) []PerfResult {
-	opt = opt.withDefaults(2)
-	benches := perfBenches256
-	if scale > 512 {
-		benches = perfBenches1024
-	}
-	title := fmt.Sprintf("overhead on %s @%d", platform, scale)
-	return perfTable(w, title, platform, scale, benches, opt)
-}
-
 // Table5 reproduces Table 5 / Figure 8: overhead percentages on
 // Tianhe-2 at scale 1024, plus the per-run series of Figure 7
 // (Stampede) when full is requested via Runs >= 5.
@@ -401,34 +389,78 @@ func runTraced(params workload.Params, traceEvery time.Duration, seed int64) tra
 	return tracedResult{secs: time.Duration(w.FinishedAt()).Seconds(), n: n}
 }
 
-// GenerateAll regenerates every table and study — the psbench -all
-// superset — through one Options value, so a single resumable command
-// (cmd/pssweep -grid paper) can rebuild the whole evaluation: routed
-// through Options.Campaign, every campaign run lands in the sweep's
-// durable log and an interrupted regeneration picks up where it
-// stopped.
-func GenerateAll(w io.Writer, opt Options) {
-	Table1(w, opt)
-	fmt.Fprintln(w)
-	Table3(w, opt)
-	fmt.Fprintln(w)
-	Table4(w, opt)
-	fmt.Fprintln(w)
-	Table5(w, opt)
-	fmt.Fprintln(w)
-	campaigns := Table6(w, opt)
-	fmt.Fprintln(w)
-	Table7(w, campaigns, opt)
-	fmt.Fprintln(w)
-	Table8(w, campaigns, opt)
-	fmt.Fprintln(w)
-	Table9(w, opt)
-	fmt.Fprintln(w)
-	Table10(w, campaigns, opt)
-	fmt.Fprintln(w)
-	CauseTable(w, opt)
-	fmt.Fprintln(w)
-	FalsePositiveStudy(w, opt)
-	fmt.Fprintln(w)
-	ScaleStudy(w, opt)
+// Artefact is one table or figure of the evaluation: the name
+// pssweep's -table or -fig selects it by, and its generator.
+type Artefact struct {
+	Name string
+	gen  func(w io.Writer, g *generation)
+}
+
+// generation is the state one Generate call shares between artefacts:
+// the Options, and Table 6's accuracy campaigns once they have run.
+type generation struct {
+	opt      Options
+	accuracy map[string][]AccuracyCell
+}
+
+// campaigns returns Table 6's campaigns, running them with Table 6
+// itself discarded if no earlier artefact of this call did.
+func (g *generation) campaigns() map[string][]AccuracyCell {
+	if g.accuracy == nil {
+		g.accuracy = Table6(io.Discard, g.opt)
+	}
+	return g.accuracy
+}
+
+// Tables lists every table and study in print order.
+var Tables = []Artefact{
+	{"1", func(w io.Writer, g *generation) { Table1(w, g.opt) }},
+	{"3", func(w io.Writer, g *generation) { Table3(w, g.opt) }},
+	{"4", func(w io.Writer, g *generation) { Table4(w, g.opt) }},
+	{"5", func(w io.Writer, g *generation) { Table5(w, g.opt) }},
+	{"6", func(w io.Writer, g *generation) { g.accuracy = Table6(w, g.opt) }},
+	{"7", func(w io.Writer, g *generation) { Table7(w, g.campaigns()) }},
+	{"8", func(w io.Writer, g *generation) { Table8(w, g.campaigns()) }},
+	{"9", func(w io.Writer, g *generation) { Table9(w, g.opt) }},
+	{"10", func(w io.Writer, g *generation) { Table10(w, g.campaigns()) }},
+	{"cause", func(w io.Writer, g *generation) { CauseTable(w, g.opt) }},
+	{"fp", func(w io.Writer, g *generation) { FalsePositiveStudy(w, g.opt) }},
+	{"scale", func(w io.Writer, g *generation) { ScaleStudy(w, g.opt) }},
+}
+
+// Figures lists every figure whose data series this package emits.
+var Figures = []Artefact{
+	{"2", func(w io.Writer, g *generation) { Figure2(w, g.opt) }},
+	{"3", func(w io.Writer, g *generation) { Figure3(w, g.opt) }},
+	{"4", func(w io.Writer, g *generation) { Figure4(w, g.opt) }},
+	{"5", func(w io.Writer, g *generation) { Figure5(w, g.opt) }},
+	{"7", func(w io.Writer, g *generation) { Figure7(w, g.opt) }},
+	{"9", func(w io.Writer, g *generation) { Figure9(w, g.opt) }},
+	{"10", func(w io.Writer, g *generation) { Figure10(w, g.opt) }},
+}
+
+// Lookup returns the artefact of list called name.
+func Lookup(list []Artefact, name string) (Artefact, bool) {
+	for _, a := range list {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return Artefact{}, false
+}
+
+// Generate prints arts in order, separated by blank lines, through one
+// Options value, so a single resumable command (cmd/pssweep -grid
+// paper) rebuilds the whole evaluation or any one artefact of it:
+// routed through Options.Campaign, every campaign run lands in the
+// sweep's durable log and an interrupted regeneration picks up where
+// it stopped. Table 6's campaigns run at most once per call.
+func Generate(w io.Writer, opt Options, arts []Artefact) {
+	g := &generation{opt: opt}
+	for i, a := range arts {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		a.gen(w, g)
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 // These tests run each generator at minimum scale and assert the
 // qualitative shapes the paper reports. Full-scale regeneration lives
-// in cmd/psbench / cmd/psfig and bench_test.go.
+// in cmd/pssweep -grid paper.
 
 func TestTable3Shape(t *testing.T) {
 	var buf bytes.Buffer
