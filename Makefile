@@ -39,24 +39,28 @@ bench-smoke:
 # runner_test.go). The per-sample model refit is pinned
 # allocation-free beside the runner: Add+Fit at a full window, and the
 # daemon's StreamMonitor.Ingest. The runner's own gates ride along:
-# objects and bytes per reused run, and the goroutine count after runs
-# that panicked.
+# objects and bytes per reused run, the goroutine count after runs that
+# panicked, and a reused runner's goroutine count holding flat from run
+# to run (its rank coroutines stay pooled).
 bench-scale-smoke:
-	$(GO) test -run 'TestScaleSmoke$$|TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestScaleSmoke$$|TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$|TestRunnerReuseHoldsGoroutines$$' -count=1 -v ./internal/experiment
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 
-# Handoff smoke: the executor's loop travels from goroutine to
-# goroutine (whoever parks drives), so its tests — generated programs
-# whose dispatch log must not depend on how a run is sliced, the
-# closure-on-Run's-goroutine rule, panic and Shutdown paths — run
-# repeatedly under the race detector on one and on four Ps. The MPI
-# layer and the harness keep their simulation state in plain fields,
-# ordered only by those handoffs, so they get the same treatment; so
-# does the daemon's admission → shard → pool pipeline, which has no
-# timer left to hide an ordering bug behind.
+# Handoff smoke: process bodies run on runtime coroutines that Run's
+# goroutine resumes one at a time, and whichever body parks drives the
+# loop and records the next, so the executor's tests — generated
+# programs whose dispatch log must not depend on how a run is sliced,
+# the closure-on-Run's-goroutine rule, panic, Unwind and Shutdown
+# paths, and the coroutine pool's lifecycle across Reset and garbage
+# collection — run repeatedly under the race detector on one and on
+# four Ps. The MPI layer and the harness keep their simulation state in
+# plain fields, ordered only by those switches, so they get the same
+# treatment (a rank body's panic reaching the Runner's caller
+# included); so does the daemon's admission → shard → pool pipeline,
+# which has no timer left to hide an ordering bug behind.
 sim-chain-smoke:
-	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial' ./internal/sim
+	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial|Lifecycle' ./internal/sim
 	$(GO) test -race -count=5 ./internal/mpi ./internal/experiment
 	$(GO) test -race -count=5 ./internal/service
 

@@ -227,10 +227,10 @@ func Run(rc RunConfig) RunResult { return NewRunner().Run(rc) }
 // the process count changes).
 //
 // A panic unwinding through Run (a crash plan, a detector, a closure
-// event — anything on Run's goroutine) leaves the engine mid-run with
-// every rank parked: Run shuts it down so the goroutines exit, forgets
-// the engine and world so the next Run builds fresh ones, and lets the
-// panic continue.
+// event, a rank body) leaves the engine mid-run with every other rank
+// parked: Run shuts it down so its goroutines exit, forgets the engine
+// and world so the next Run builds fresh ones, and lets the panic
+// continue.
 func (rn *Runner) Run(rc RunConfig) RunResult {
 	finished := false
 	defer func() {
@@ -424,7 +424,7 @@ func (rn *Runner) run(rc RunConfig) RunResult {
 	res.Events = eng.EventsFired()
 	// Root-cause diagnosis: when a detector reported on a hung world,
 	// snapshot every rank's blocked operation and classify the hang.
-	// This happens before Shutdown — Capture reads the paused world and
+	// This happens before Unwind — Capture reads the paused world and
 	// must see the blocked ranks, not their torn-down remains. Under
 	// chaos, visibility is what one more probe round would see: ranks
 	// whose probe would be lost or stale stay unobserved, so the
@@ -440,10 +440,11 @@ func (rn *Runner) run(rc RunConfig) RunResult {
 		res.Cause = string(res.Diagnosis.Cause)
 		verdict.Cause = res.Diagnosis
 	}
-	// Release all parked goroutines (hung runs would otherwise leak
-	// their rank processes for the lifetime of the campaign). Done
-	// before the metric snapshot so terminations are counted in it.
-	eng.Shutdown()
+	// Unwind every parked rank (hung runs would otherwise hold their
+	// processes for the lifetime of the campaign); the coroutines stay
+	// pooled for the next run. Done before the metric snapshot so
+	// terminations are counted in it.
+	eng.Unwind()
 	res.Metrics = rec.Snapshot()
 	if rc.Stats != nil {
 		rc.Stats.Add(res.Metrics)

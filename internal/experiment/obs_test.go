@@ -125,7 +125,7 @@ func TestRunMetricsAndCampaignTotals(t *testing.T) {
 		if got := r.Metrics.Counter(sim.CtrEvents); got != int64(r.Events) {
 			t.Errorf("seed %d: %s = %d, Events = %d", r.Seed, sim.CtrEvents, got, r.Events)
 		}
-		// Shutdown ran before the snapshot: all spawned procs terminated.
+		// Unwind ran before the snapshot: all spawned procs terminated.
 		if sp, ex := r.Metrics.Counter(sim.CtrSpawns), r.Metrics.Counter(sim.CtrProcExits); sp != ex {
 			t.Errorf("seed %d: %d spawns but %d exits in snapshot", r.Seed, sp, ex)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"parastack/internal/core"
 	"parastack/internal/fault"
+	"parastack/internal/mpi"
 	"parastack/internal/noise"
 	"parastack/internal/sim"
 )
@@ -154,3 +155,98 @@ func (b *bombDetector) Start() {
 	b.eng.After(20*time.Second, func() { panic("detector bomb") })
 }
 func (b *bombDetector) Report() *core.Report { return nil }
+
+// settledGoroutines forces collections until the goroutine count stops
+// moving, so engines dropped earlier (fresh Runs discard theirs) have
+// stopped their pooled coroutines before a count is compared.
+func settledGoroutines() int {
+	n := -1
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
+// TestRunnerRankPanicIsRecoverable: a panic in a rank body — not on
+// Run's goroutine, but on the rank's coroutine — reaches Run's caller
+// with its value, the shut-down engine gives every goroutine back, and
+// the Runner's next run is bit-identical to a fresh one.
+func TestRunnerRankPanicIsRecoverable(t *testing.T) {
+	rn := NewRunner()
+	rc := RunConfig{
+		Params:    smallParams(),
+		Platform:  noise.Tardis(),
+		PPN:       8,
+		Seed:      1,
+		Monitor:   &core.Config{},
+		WallLimit: 8 * time.Second, // a slice of the run keeps -race passes short
+	}
+	rn.Run(rc) // the Runner under test is a warm one
+	base := settledGoroutines()
+	poisoned := rc
+	poisoned.ExtraDetectors = []DetectorFactory{func(env DetectorEnv) Detector {
+		// Rank 2's compute, 4 simulated seconds in, panics inside the
+		// rank body (the noise hook runs on the rank's own coroutine).
+		w := env.World
+		perturb := w.Perturb
+		w.Perturb = func(r *mpi.Rank, d time.Duration) time.Duration {
+			if r.ID() == 2 && r.Proc().Now() > 4*time.Second {
+				panic("rank bomb")
+			}
+			return perturb(r, d)
+		}
+		return nil
+	}}
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "rank bomb" {
+					t.Fatalf("recovered %v, want the rank's panic", r)
+				}
+			}()
+			rn.Run(poisoned)
+			t.Fatal("poisoned run returned")
+		}()
+	}
+	again := rn.Run(rc)
+	if g := settledGoroutines(); g != base {
+		t.Errorf("%d goroutines before the panicking runs, %d after the next run", base, g)
+	}
+	runtime.KeepAlive(rn) // its engine's pooled coroutines are part of base
+	if fresh := Run(rc); !reflect.DeepEqual(fresh, again) {
+		t.Errorf("Runner diverged from a fresh run after a rank panic\nfresh: %+v\nagain: %+v", fresh, again)
+	}
+}
+
+// TestRunnerReuseHoldsGoroutines: a reused Runner keeps its rank
+// coroutines pooled between runs, and run k+1 leaves exactly as many
+// goroutines as run k did. The wall limit stops every run mid-iteration
+// with all ranks parked, so each run ends by unwinding all of them.
+func TestRunnerReuseHoldsGoroutines(t *testing.T) {
+	rn := NewRunner()
+	rc := RunConfig{
+		Params:    smallParams(),
+		Platform:  noise.Tardis(),
+		PPN:       8,
+		Seed:      3,
+		Monitor:   &core.Config{},
+		WallLimit: 6 * time.Second,
+	}
+	rn.Run(rc)
+	after := settledGoroutines()
+	if after < rc.Params.Procs {
+		t.Fatalf("%d goroutines after a run of %d ranks: the rank coroutines were not kept", after, rc.Params.Procs)
+	}
+	for k := 1; k <= 2; k++ {
+		rn.Run(rc)
+		if g := settledGoroutines(); g != after {
+			t.Fatalf("run %d left %d goroutines, run %d left %d", k, after, k+1, g)
+		}
+	}
+}

@@ -449,13 +449,14 @@ func (l *Ledger) Close() error {
 
 // loop is the single committer goroutine: a size+deadline batcher (a
 // deadline timer armed when a batch opens, flush on size or deadline,
-// whichever wins).
+// whichever wins). Timer channels are synchronous (Go 1.23 semantics):
+// after Reset no stale expiry is received, so re-arming needs no drain,
+// and an expiry left over from a batch that size flushed arrives, if at
+// all, only while no batch is open, where flushing is a no-op.
 func (l *Ledger) loop() {
 	defer l.wg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	var batch []pending
 	emit := func() {
 		if len(batch) == 0 {
@@ -478,12 +479,6 @@ func (l *Ledger) loop() {
 			}
 			if len(batch) == 0 {
 				// A batch just opened: arm its flush deadline.
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
 				timer.Reset(l.opts.BatchDelay)
 			}
 			batch = append(batch, p)

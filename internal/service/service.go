@@ -595,13 +595,15 @@ func (s *Service) install(j *job, v Verdict, keepSeq bool) {
 	s.decided[j.spec.ID] = j
 	s.order = append(s.order, j.spec.ID)
 	s.resident--
-	close(j.done)
-	s.mu.Unlock()
+	// Count before close(j.done) releases Wait, so a caller that saw
+	// the verdict also sees it counted.
 	if v.Status == VerdictFailed {
 		s.count(CtrJobsFailed, 1)
 	} else {
 		s.count(CtrJobsCompleted, 1)
 	}
+	close(j.done)
+	s.mu.Unlock()
 	// Journal the verdict before the sink sees it (see the ordering
 	// argument above). A journal append failure is counted but does not
 	// block the verdict: the job stays open in the journal and a

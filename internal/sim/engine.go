@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with goroutine-based simulated processes and a virtual clock.
+// with coroutine-based simulated processes and a virtual clock.
 //
 // The engine is the substrate on which the simulated MPI runtime
 // (package mpi), the workload skeletons (package workload), and the
@@ -15,18 +15,25 @@
 //
 // There is one executor, and exactly one simulated process (or event
 // callback) runs at a time, so simulation state needs no locking and
-// every run is reproducible from the engine's random seed. Channel
-// handoffs order every access. There is no scheduler goroutine: whoever
-// parks drives. Run starts the global event loop (Engine.drive) on its
-// own goroutine, and every process that sleeps, suspends or exits
-// continues that loop itself — it runs payload callbacks (the MPI
-// deliveries) inline, resumes without any goroutine switch when the
-// next dispatch is its own wake, and otherwise readies the next process
-// with one send on that process's resume channel (handoff). Run's
-// goroutine gets the loop back, over one buffered channel, only when
-// the run is over or a closure event (At/After) is due: closures always
-// execute on the goroutine that called Run, so a panicking closure
-// unwinds Run's caller and never a process.
+// every run is reproducible from the engine's random seed. Each process
+// body runs on a runtime coroutine (iter.Pull), and coroutine switches
+// order every access; none enters the Go scheduler. Run's goroutine is
+// the trampoline: it resumes one process at a time. Whoever parks
+// drives: every process that sleeps, suspends or exits continues the
+// global event loop (Engine.drive) itself — it runs payload callbacks
+// (the MPI deliveries) inline, resumes without any switch when the next
+// dispatch is its own wake, and otherwise records the next process
+// (handoff) and yields to Run's goroutine, which resumes it. When the
+// loop comes to rest — the run is over or a closure event (At/After) is
+// due — nothing is recorded and Run's goroutine drives on: closures
+// always execute on the goroutine that called Run, so a panicking
+// closure unwinds Run's caller and never a process. A panicking process
+// body ends its coroutine and reaches Run's caller too.
+//
+// Coroutines are pooled with their processes across Reset; Unwind ends
+// a run's bodies and keeps them, Shutdown releases them. An engine that
+// is dropped without Shutdown stops its idle coroutines when it is
+// garbage-collected.
 //
 // Virtual time is represented as time.Duration offsets from the start
 // of the simulation. Sleeping, blocking on a condition, and waking
@@ -37,6 +44,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"parastack/internal/obs"
@@ -122,21 +130,21 @@ type Engine struct {
 	rng  *rand.Rand
 	seed int64
 
-	stopped  bool
-	running  bool
-	shutdown bool
+	stopped   bool
+	running   bool
+	unwinding bool // Unwind has begun: parks unwind instead of driving
 
 	// Global-loop state (see drive). until bounds the current Run;
 	// stepping is the shard whose popped event is executing (still in
 	// heads, under a stale key); group/groupAt is the cursor through a
-	// popped group wake; idle carries the one token that passes the loop
-	// back to Run's goroutine (and acknowledges Shutdown orders).
+	// popped group wake; next is the process Run's goroutine resumes
+	// next (see handoff).
 	until    Time
 	stepping *shard
 	group    *Event
 	groupAt  int
-	idle     chan struct{}
-	rests    uint64 // times Run's goroutine blocked on idle (pinned by tests)
+	next     *Proc
+	rests    uint64 // times a process left the loop at rest to Run's goroutine (pinned by tests)
 
 	// ctx is the shard whose event (or setup code) is currently
 	// executing; engine-level scheduling APIs (At, After, Spawn, WakeAt)
@@ -146,11 +154,14 @@ type Engine struct {
 	procs     []*Proc
 	liveProcs int
 
-	// Reuse pools. freeProcs recycles Proc structs (and their resume
-	// channels) across Reset cycles; procSlices recycles group-wake
-	// waiter backing arrays, keyed on exact capacity so a communicator's
-	// waiter list round-trips through the pool without reallocating.
+	// Reuse pools. freeProcs recycles Proc structs (and their
+	// coroutines) across Reset cycles; coros is every live coroutine,
+	// for Shutdown and the engine's cleanup; procSlices recycles
+	// group-wake waiter backing arrays, keyed on exact capacity so a
+	// communicator's waiter list round-trips through the pool without
+	// reallocating.
 	freeProcs  []*Proc
+	coros      *coroPool
 	procSlices map[int][][]*Proc
 
 	// Observability (see SetRecorder). rec is never nil.
@@ -169,12 +180,13 @@ type Engine struct {
 // produce identical event sequences.
 func NewEngine(seed int64) *Engine {
 	e := &Engine{
-		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
-		rec:  obs.Disabled,
-		idle: make(chan struct{}, 1),
+		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
+		rec:   obs.Disabled,
+		coros: &coroPool{},
 	}
 	e.ctx = e.shardFor(0)
+	runtime.AddCleanup(e, (*coroPool).stopAll, e.coros)
 	return e
 }
 
@@ -491,11 +503,15 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // case; callers can inspect LiveProcs to distinguish it from normal
 // completion.
 //
-// Run's goroutine owns the loop only until it hands it to a process
-// (drive); the loop then travels from process to process without this
-// goroutine and comes back through idle — once per run for a program of
-// processes and payload callbacks alone, once per closure event
-// otherwise.
+// Run's goroutine is the trampoline: it drives until the loop hands a
+// process control, resumes that process, and resumes whichever process
+// each one records next, until one leaves the loop at rest — once per
+// run for a program of processes and payload callbacks alone, once per
+// closure event otherwise. Then it drives again. The runtime requires
+// coroutine switches to keep the OS-thread locking they were created
+// under, so Run, Unwind and Shutdown must not be called from a
+// goroutine locked with runtime.LockOSThread unless the processes were
+// spawned on that same locked thread.
 func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run while running")
@@ -509,20 +525,24 @@ func (e *Engine) Run(until Time) Time {
 		e.syncObs()
 	}()
 	for e.drive(nil) == loopHanded {
+		for q := e.next; q != nil; q = e.next {
+			e.next = nil
+			q.co.next()
+		}
 		e.rests++
-		<-e.idle
 	}
 	return e.now
 }
 
 // drive continues the global event loop on the calling goroutine:
-// Run's (self == nil) or that of the process which just parked or
-// exited (self). Whoever parks drives — it pops the earliest event in
-// the system and runs payload callbacks inline, hands control to the
+// Run's (self == nil) or the coroutine of the process which just parked
+// or exited (self). Whoever parks drives — it pops the earliest event
+// in the system and runs payload callbacks inline, hands control to the
 // next dispatched process (see handoff: no switch when that is self,
-// one resume send otherwise), and where the loop needs Run's goroutine
-// — the run is over (queue empty, Stop, until) or a closure event is
-// due — a driving process signals idle and stays parked.
+// Run's goroutine resumes it otherwise), and where the loop needs Run's
+// goroutine — the run is over (queue empty, Stop, until) or a closure
+// event is due — it returns with nothing recorded, and a driving
+// process yields.
 //
 // Closure events (At/After) run on Run's goroutine only, so a
 // panicking closure unwinds Run's caller rather than a process. The
@@ -541,7 +561,7 @@ func (e *Engine) drive(self *Proc) loopAction {
 				e.group = nil
 				s.recycle(g)
 			}
-			return handoff(q, self, t)
+			return e.handoff(q, self, t)
 		}
 		if s := e.stepping; s != nil {
 			e.stepping = nil
@@ -553,16 +573,16 @@ func (e *Engine) drive(self *Proc) loopAction {
 			}
 		}
 		if e.stopped || len(e.heads) == 0 {
-			return e.rest(self)
+			return rest(self)
 		}
 		s := e.heads[0].s
 		ev := s.queue[0]
 		if e.until > 0 && ev.when > e.until {
 			e.now = e.until
-			return e.rest(self)
+			return rest(self)
 		}
 		if self != nil && ev.fn != nil && !ev.canceled {
-			return e.rest(self) // a canceled closure is anyone's to skip
+			return rest(self) // a canceled closure is anyone's to skip
 		}
 		s.queue.popMin()
 		s.active = true
@@ -578,12 +598,12 @@ func (e *Engine) drive(self *Proc) loopAction {
 		e.ctx = s
 		switch {
 		case ev.proc != nil:
-			// Recycled before the resume send: afterwards the event, like
+			// Recycled before the handoff: afterwards the event, like
 			// everything else, belongs to the dispatched process.
 			q, t := ev.proc, ev.when
 			s.fired++
 			s.recycle(ev)
-			return handoff(q, self, t)
+			return e.handoff(q, self, t)
 		case ev.procs != nil:
 			// One heap pop releases the whole waiter list; each dispatch
 			// counts as a fired event, like the per-waiter wakes it stands
@@ -604,12 +624,11 @@ func (e *Engine) drive(self *Proc) loopAction {
 }
 
 // rest brings the global loop to rest on Run's goroutine: a driving
-// process passes it back through idle and stays parked.
-func (e *Engine) rest(self *Proc) loopAction {
+// process records no successor, so its yield returns the loop to Run.
+func rest(self *Proc) loopAction {
 	if self == nil {
 		return loopDone
 	}
-	e.idle <- struct{}{}
 	return loopHanded
 }
 
@@ -626,52 +645,65 @@ func (e *Engine) PendingEvents() int {
 	return n
 }
 
-// Shutdown terminates every live simulated process, releasing their
-// goroutines. Campaigns that run thousands of simulations — many ending
+// Unwind terminates every live simulated process: each body unwinds
+// from where it parked (its defers run) and its coroutine returns to
+// the pool. Campaigns that run thousands of simulations — many ending
 // in hangs whose processes would otherwise stay parked forever — call
-// this after each run to keep goroutine and memory usage flat. The
-// engine must not be running; after Shutdown it must not be reused
-// until Reset.
-func (e *Engine) Shutdown() {
+// this after each run. The engine must not be running; after Unwind it
+// must not be reused until Reset.
+func (e *Engine) Unwind() {
 	if e.running {
-		panic("sim: Shutdown while running")
+		panic("sim: Unwind while running")
 	}
-	e.shutdown = true
+	e.unwinding = true
+	e.next = nil
 	for _, p := range e.procs {
-		for p.state == ProcReady || p.state == ProcSleeping || p.state == ProcSuspended {
-			// Hand the goroutine control; park/Sleep (or the spawn
-			// wrapper, for never-started processes) observes the
-			// shutdown flag and unwinds via a procExit panic; the spawn
-			// wrapper recovers it and acknowledges on idle.
-			p.resume <- struct{}{}
-			<-e.idle
+		for p.state != ProcDone {
+			// Resume the body: park (or, for a never-started process, the
+			// coroutine itself) observes the unwinding flag and unwinds via
+			// a procExit panic, which exit recovers before the coroutine
+			// yields back here. Nothing runs while the engine does not,
+			// so even a process dispatched but never resumed is parked.
+			p.co.next()
 		}
 	}
 	e.syncObs()
 }
 
+// Shutdown is Unwind followed by the release of every coroutine the
+// engine has pooled, so no goroutine of the engine's is left. The
+// engine must not be running; after Shutdown it must not be reused
+// until Reset, which then builds fresh coroutines as processes spawn.
+func (e *Engine) Shutdown() {
+	if e.running {
+		panic("sim: Shutdown while running")
+	}
+	e.Unwind()
+	e.coros.stopAll()
+}
+
 // Reset returns the engine to its just-constructed state with a fresh
 // random stream seeded with seed, while retaining every warm structure
-// (shards, event free lists, processes, group-wake slices). A reset
-// engine is indistinguishable from NewEngine(seed) to the simulation —
-// virtual time, event sequence numbers, the random stream, and all
-// counters restart from zero — which is what lets campaigns reuse one
-// engine across seeds instead of reallocating per run. Live processes
-// are Shutdown first; the attached recorder is kept (pass a new one via
-// SetRecorder for the next run).
+// (shards, event free lists, processes and their coroutines, group-wake
+// slices). A reset engine is indistinguishable from NewEngine(seed) to
+// the simulation — virtual time, event sequence numbers, the random
+// stream, and all counters restart from zero — which is what lets
+// campaigns reuse one engine across seeds instead of reallocating per
+// run. Live processes are unwound first; the attached recorder is kept
+// (pass a new one via SetRecorder for the next run).
 func (e *Engine) Reset(seed int64) {
 	if e.running {
 		panic("sim: Reset while running")
 	}
-	e.Shutdown()
+	e.Unwind()
 	for _, s := range e.shards {
 		s.reset()
 	}
 	e.heads = e.heads[:0]
 	e.stepping, e.group, e.groupAt = nil, nil, 0
 	for i, p := range e.procs {
-		// All processes are Done after Shutdown; their goroutines have
-		// exited, so the structs (and resume channels) are reusable.
+		// All processes are Done after Unwind and their coroutines idle,
+		// so the structs (and coroutines) are reusable.
 		p.eng = nil
 		p.shard = nil
 		p.wake = nil
@@ -683,7 +715,7 @@ func (e *Engine) Reset(seed int64) {
 	e.liveProcs = 0
 	e.now = 0
 	e.stopped = false
-	e.shutdown = false
+	e.unwinding = false
 	e.eventsSynced = 0
 	e.sleepsSynced = 0
 	e.spawnsSynced = 0
@@ -695,5 +727,5 @@ func (e *Engine) Reset(seed int64) {
 }
 
 // procExit is the sentinel panic used to unwind a simulated process's
-// goroutine during Shutdown. Process bodies' defers run normally.
+// body during Unwind. Process bodies' defers run normally.
 type procExit struct{}

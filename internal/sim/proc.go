@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"parastack/internal/obs"
@@ -14,7 +15,7 @@ type ProcState int
 const (
 	// ProcReady means the process has been spawned but not yet started.
 	ProcReady ProcState = iota
-	// ProcRunning means the process goroutine currently holds control.
+	// ProcRunning means the process currently holds control.
 	ProcRunning
 	// ProcSleeping means the process is parked with a wake event queued.
 	ProcSleeping
@@ -43,10 +44,11 @@ func (s ProcState) String() string {
 	}
 }
 
-// Proc is a simulated process: a goroutine that runs only when the
-// engine hands it control, and that advances virtual time by sleeping
-// or suspending. All Proc methods that block (Sleep, Suspend) must be
-// called from the process's own goroutine.
+// Proc is a simulated process: a body running on a runtime coroutine
+// that the engine resumes only when it hands the process control, and
+// that advances virtual time by sleeping or suspending. All Proc
+// methods that block (Sleep, Suspend) must be called from the process's
+// own body.
 //
 // Every process is homed on one shard: its sleep wakes and spawned
 // events are stamped by that shard and live in its queue, and its
@@ -58,7 +60,7 @@ type Proc struct {
 	eng     *Engine
 	shard   *shard
 	localID uint64 // shard-local spawn index (canonical wake stamps)
-	resume  chan struct{}
+	co      *coro  // carries the body; pooled with the Proc across Reset
 	state   ProcState
 	wake    *Event // pending wake event while sleeping
 	now     Time   // the process's own virtual clock
@@ -86,17 +88,21 @@ func (p *Proc) Now() Time { return p.now }
 // Shard reports the id of the shard the process is homed on.
 func (p *Proc) Shard() int { return int(p.shard.id) }
 
-// newProc allocates (or reuses) a Proc homed on shard s.
+// newProc allocates (or reuses) a Proc homed on shard s, with a
+// coroutine ready to run its body.
 func (e *Engine) newProc(name string, s *shard) *Proc {
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
-		// Reuse a pooled Proc (and its resume channel) from a previous
-		// Reset cycle; its goroutine has exited, so the channel is idle.
+		// Reuse a pooled Proc from a previous Reset cycle; its coroutine,
+		// if still alive, idles between bodies.
 		p = e.freeProcs[n-1]
 		e.freeProcs[n-1] = nil
 		e.freeProcs = e.freeProcs[:n-1]
 	} else {
-		p = &Proc{resume: make(chan struct{})}
+		p = &Proc{}
+	}
+	if p.co == nil || p.co.slot < 0 {
+		p.co = e.coros.add()
 	}
 	p.ID = len(e.procs)
 	p.Name = name
@@ -113,8 +119,9 @@ func (e *Engine) newProc(name string, s *shard) *Proc {
 }
 
 // spawn creates a process homed on shard home, with its start event
-// stamped by shard src (the caller's context), and launches its
-// goroutine in the parked state.
+// stamped by shard src (the caller's context), and loads body into the
+// process's coroutine, which first runs it when the start event
+// dispatches the process.
 func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Proc)) *Proc {
 	if start < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", start, e.now))
@@ -123,34 +130,7 @@ func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Pro
 	if e.rec.Enabled() {
 		e.rec.Event(start, EvProcSpawn, obs.Int("proc", int64(p.ID)), obs.Str("name", name))
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procExit); !ok {
-					panic(r) // real bug: propagate
-				}
-			}
-			p.state = ProcDone
-			p.shard.exits++
-			e.liveProcs--
-			if e.rec.Enabled() {
-				e.rec.Event(e.now, EvProcStop, obs.Int("proc", int64(p.ID)), obs.Str("name", p.Name))
-			}
-			// Hand control on for good, exactly like a park that is never
-			// resumed: acknowledge a Shutdown order, or continue the loop
-			// (p is Done, so it can only hand off or come to rest).
-			if e.shutdown {
-				e.idle <- struct{}{}
-			} else {
-				e.drive(p)
-			}
-		}()
-		<-p.resume // wait for the start event's handoff
-		if e.shutdown {
-			panic(procExit{})
-		}
-		body(p)
-	}()
+	p.co.p, p.co.body = p, body
 	var ev *Event
 	if src == home {
 		ev = e.scheduleLocal(home, start)
@@ -159,6 +139,114 @@ func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Pro
 	}
 	ev.proc = p
 	return p
+}
+
+// A coro is the runtime coroutine (iter.Pull) that carries process
+// bodies. It runs one body per spawn, from the first dispatch of its
+// process to the body's end, and then idles in yield until it is handed
+// the next. An idle coro holds no pointer to a Proc or an Engine, so an
+// unwound engine is collectable and its cleanup stops the coros (see
+// coroPool).
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// p and body are the spawned process and its body, loaded by spawn
+	// and taken by run when the body starts.
+	p    *Proc
+	body func(*Proc)
+
+	pool *coroPool
+	slot int // index in pool.all; -1 once the coroutine has finished
+}
+
+// loop is the coroutine's body: one process body per resume from idle.
+// Any exit — stop, or a body's panic on its way to Run's caller — ends
+// the coroutine, so it leaves the pool for good.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	defer c.pool.drop(c)
+	for {
+		c.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the loaded body, or only its exit when the engine is
+// unwinding before the process ever ran.
+func (c *coro) run() {
+	p, body := c.p, c.body
+	c.p, c.body = nil, nil
+	defer p.exit()
+	if p.eng.unwinding {
+		panic(procExit{})
+	}
+	body(p)
+}
+
+// exit retires p once its body has returned or unwound. A procExit is
+// the engine's own termination order; any other panic is a bug in the
+// body, which leaves p Done and travels on to Run's caller, ending the
+// coroutine with it. A normal exit hands the loop on for good, exactly
+// like a park that is never resumed.
+func (p *Proc) exit() {
+	r := recover()
+	e := p.eng
+	p.state = ProcDone
+	p.shard.exits++
+	e.liveProcs--
+	if e.rec.Enabled() {
+		e.rec.Event(e.now, EvProcStop, obs.Int("proc", int64(p.ID)), obs.Str("name", p.Name))
+	}
+	if r != nil {
+		if _, ok := r.(procExit); !ok {
+			panic(r)
+		}
+	}
+	if !e.unwinding {
+		e.drive(p) // p is Done: the loop is handed on or comes to rest
+	}
+}
+
+// coroPool is every live coroutine an engine has created. It holds no
+// pointer to the engine, which lets a runtime cleanup on the engine
+// stop the pool once the engine is unreachable.
+type coroPool struct {
+	all []*coro
+}
+
+// add creates a coroutine, parked before its first body.
+func (cp *coroPool) add() *coro {
+	c := &coro{pool: cp, slot: len(cp.all)}
+	c.next, c.stop = iter.Pull(c.loop)
+	cp.all = append(cp.all, c)
+	return c
+}
+
+// drop removes c from the pool; it is idempotent.
+func (cp *coroPool) drop(c *coro) {
+	if c.slot < 0 {
+		return
+	}
+	last := cp.all[len(cp.all)-1]
+	cp.all[c.slot] = last
+	last.slot = c.slot
+	cp.all[len(cp.all)-1] = nil
+	cp.all = cp.all[:len(cp.all)-1]
+	c.slot = -1
+}
+
+// stopAll ends every coroutine in the pool, releasing its goroutine.
+// Every coroutine must be idle: between bodies, or never started.
+func (cp *coroPool) stopAll() {
+	for n := len(cp.all); n > 0; n = len(cp.all) {
+		c := cp.all[n-1]
+		cp.drop(c)
+		c.stop()
+	}
 }
 
 // Spawn creates a process on the current context shard (shard 0 for
@@ -195,10 +283,9 @@ func (p *Proc) SpawnNow(name string, body func(*Proc)) *Proc {
 // handoff gives control to q at virtual time t on behalf of the loop
 // owner self (nil on Run's goroutine): the one way a process is made
 // to run. When q is the owner itself — its own wake came up next — it
-// simply keeps going, with no goroutine switch; otherwise q is readied
-// with one resume send, after which the caller must read no engine,
-// shard or event state: q owns it all.
-func handoff(q, self *Proc, t Time) loopAction {
+// simply keeps going; otherwise q is recorded as the process Run's
+// goroutine resumes next, and a process caller yields to it at once.
+func (e *Engine) handoff(q, self *Proc, t Time) loopAction {
 	if q.state == ProcDone {
 		panic("sim: dispatching terminated process " + q.Name)
 	}
@@ -208,28 +295,26 @@ func handoff(q, self *Proc, t Time) loopAction {
 	if q == self {
 		return loopSelf
 	}
-	q.resume <- struct{}{}
+	e.next = q
 	return loopHanded
 }
 
 // park gives up control and blocks until resumed. Whoever parks
-// drives: the parking goroutine itself carries the event loop
+// drives: the parking process itself carries the event loop
 // (Engine.drive) forward. It resumes inline when its own wake is the
-// next dispatch, hands control straight to the next dispatched process
-// otherwise, and signals Run's goroutine only when the loop comes to
-// rest. During Shutdown the park is an acknowledgement and the resume a
-// termination order: park unwinds the goroutine with a procExit panic
-// so the caller's defers still run.
+// next dispatch; otherwise it yields to Run's goroutine, which resumes
+// the process the loop recorded or, if the loop came to rest, drives on
+// itself. During an unwind the park is an acknowledgement and the
+// resume a termination order: park unwinds the body with a procExit
+// panic so the caller's defers still run.
 func (p *Proc) park(state ProcState) {
 	p.state = state
 	e := p.eng
-	if e.shutdown {
-		e.idle <- struct{}{}
-	} else if e.drive(p) == loopSelf {
+	if !e.unwinding && e.drive(p) == loopSelf {
 		return
 	}
-	<-p.resume
-	if e.shutdown {
+	p.co.yield(struct{}{})
+	if e.unwinding {
 		panic(procExit{})
 	}
 }

@@ -163,11 +163,13 @@ const (
 	// loopDone: the run is over and the calling goroutine (Run's) is the
 	// loop's last owner.
 	loopDone loopAction = iota
-	// loopHanded: control of the loop was handed to another goroutine;
-	// the caller must not touch engine, shard or event state again.
+	// loopHanded: the loop was handed on — to the process recorded in
+	// Engine.next, or at rest back to Run's goroutine when none is; a
+	// calling process must yield without touching engine, shard or
+	// event state again.
 	loopHanded
 	// loopSelf: the next event is the calling process's own wake; it
-	// resumes inline without a goroutine switch.
+	// resumes inline without a switch.
 	loopSelf
 )
 
