@@ -47,20 +47,24 @@ bench-scale-smoke:
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 
-# Handoff smoke: process bodies run on runtime coroutines that Run's
-# goroutine resumes one at a time, and whichever body parks drives the
-# loop and records the next, so the executor's tests — generated
-# programs whose dispatch log must not depend on how a run is sliced,
-# the closure-on-Run's-goroutine rule, panic, Unwind and Shutdown
-# paths, and the coroutine pool's lifecycle across Reset and garbage
-# collection — run repeatedly under the race detector on one and on
-# four Ps. The MPI layer and the harness keep their simulation state in
+# Handoff smoke: process bodies run on pooled runtime coroutines, and
+# whichever body parks drives the loop and switches straight to the
+# next process through that process's rotating switch point; Run's
+# goroutine takes part only when the loop comes to rest. So the
+# executor's tests — generated programs whose dispatch log must not
+# depend on how a run is sliced, the closure-on-Run's-goroutine rule,
+# the one-switch-per-dispatch tally, a body's panic or Goexit
+# forwarded past an unrelated waiter to Run's caller, Unwind and
+# Shutdown paths, and the coroutine pool's lifecycle across Reset and
+# garbage collection, released from a goroutine that never ran the
+# engine — run repeatedly under the race detector on one and on four
+# Ps. The MPI layer and the harness keep their simulation state in
 # plain fields, ordered only by those switches, so they get the same
 # treatment (a rank body's panic reaching the Runner's caller
 # included); so does the daemon's admission → shard → pool pipeline,
 # which has no timer left to hide an ordering bug behind.
 sim-chain-smoke:
-	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial|Lifecycle' ./internal/sim
+	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial|Lifecycle|Switch' ./internal/sim
 	$(GO) test -race -count=5 ./internal/mpi ./internal/experiment
 	$(GO) test -race -count=5 ./internal/service
 

@@ -386,3 +386,73 @@ func TestChainExitDuringShutdownDoesNotDrive(t *testing.T) {
 		t.Fatalf("fired = %d, live = %d after Shutdown", fired, e.LiveProcs())
 	}
 }
+
+// TestSwitchPingPongOneSwitchPerDispatch: a process that parks switches
+// straight to the next one, so a two-process ping-pong of n round trips
+// costs 2n coroswitches plus the run's entry and exit — not the 4n of
+// bouncing every dispatch through Run's goroutine.
+func TestSwitchPingPongOneSwitchPerDispatch(t *testing.T) {
+	e := NewEngine(1)
+	const n = 1000
+	var a, b *Proc
+	b = e.SpawnNow("b", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Suspend()
+			a.Wake()
+		}
+	})
+	a = e.SpawnNow("a", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			b.Wake()
+			p.Suspend()
+		}
+	})
+	e.RunAll()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", e.LiveProcs())
+	}
+	if got := e.coros.switches; got < 2*n || got > 2*n+4 {
+		t.Fatalf("%d round trips took %d coroswitches, want 2n plus a constant (%d..%d)", n, got, 2*n, 2*n+4)
+	}
+	if e.rests != 1 || e.coros.outerSwitches != e.rests {
+		t.Fatalf("rests = %d, switches to Run's goroutine = %d, want 1 and 1", e.rests, e.coros.outerSwitches)
+	}
+}
+
+// TestSwitchToRunnerOnlyAtRest: control goes back to Run's goroutine
+// exactly when the loop comes to rest — once per live closure that
+// falls due while processes hold the loop, and once at the end — and
+// at no other dispatch.
+func TestSwitchToRunnerOnlyAtRest(t *testing.T) {
+	e := NewEngine(1)
+	const procs, ticks = 6, 50
+	for i := 0; i < procs; i++ {
+		d := time.Duration(i+1) * time.Microsecond
+		e.SpawnNow("p", func(p *Proc) {
+			for j := 0; j < 200; j++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	fired := 0
+	var tick func()
+	tick = func() {
+		if fired++; fired < ticks {
+			e.After(7*time.Microsecond+time.Nanosecond, tick)
+		}
+	}
+	e.After(time.Nanosecond, tick)
+	e.RunAll()
+	if fired != ticks {
+		t.Fatalf("%d/%d closures fired", fired, ticks)
+	}
+	if e.rests < ticks {
+		t.Fatalf("rests = %d, want at least one per closure (%d)", e.rests, ticks)
+	}
+	if e.coros.outerSwitches != e.rests {
+		t.Fatalf("%d switches to Run's goroutine, %d rests: they must be equal", e.coros.outerSwitches, e.rests)
+	}
+	if d := e.EventsFired() - uint64(ticks); e.coros.switches > d+e.rests {
+		t.Fatalf("%d coroswitches for %d process dispatches and %d rests", e.coros.switches, d, e.rests)
+	}
+}

@@ -17,18 +17,20 @@
 // callback) runs at a time, so simulation state needs no locking and
 // every run is reproducible from the engine's random seed. Each process
 // body runs on a runtime coroutine (iter.Pull), and coroutine switches
-// order every access; none enters the Go scheduler. Run's goroutine is
-// the trampoline: it resumes one process at a time. Whoever parks
+// order every access; none enters the Go scheduler. Whoever parks
 // drives: every process that sleeps, suspends or exits continues the
 // global event loop (Engine.drive) itself — it runs payload callbacks
 // (the MPI deliveries) inline, resumes without any switch when the next
 // dispatch is its own wake, and otherwise records the next process
-// (handoff) and yields to Run's goroutine, which resumes it. When the
-// loop comes to rest — the run is over or a closure event (At/After) is
-// due — nothing is recorded and Run's goroutine drives on: closures
-// always execute on the goroutine that called Run, so a panicking
-// closure unwinds Run's caller and never a process. A panicking process
-// body ends its coroutine and reaches Run's caller too.
+// (handoff) and switches straight to it, one coroswitch per dispatch:
+// each coroutine's iter.Pull is also a switch point that any goroutine
+// may release (see coro). Run's goroutine takes part like one more
+// process, and control comes back to it only when the loop comes to
+// rest — the run is over or a closure event (At/After) is due — and it
+// drives on: closures always execute on the goroutine that called Run,
+// so a panicking closure unwinds Run's caller and never a process. A
+// panicking process body ends its coroutine and reaches Run's caller
+// too, as does a body's runtime.Goexit.
 //
 // Coroutines are pooled with their processes across Reset; Unwind ends
 // a run's bodies and keeps them, Shutdown releases them. An engine that
@@ -137,8 +139,8 @@ type Engine struct {
 	// Global-loop state (see drive). until bounds the current Run;
 	// stepping is the shard whose popped event is executing (still in
 	// heads, under a stale key); group/groupAt is the cursor through a
-	// popped group wake; next is the process Run's goroutine resumes
-	// next (see handoff).
+	// popped group wake; next is the process control passes to next
+	// (see handoff).
 	until    Time
 	stepping *shard
 	group    *Event
@@ -183,7 +185,7 @@ func NewEngine(seed int64) *Engine {
 		rng:   rand.New(rand.NewSource(seed)),
 		seed:  seed,
 		rec:   obs.Disabled,
-		coros: &coroPool{},
+		coros: newCoroPool(),
 	}
 	e.ctx = e.shardFor(0)
 	runtime.AddCleanup(e, (*coroPool).stopAll, e.coros)
@@ -503,15 +505,16 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // case; callers can inspect LiveProcs to distinguish it from normal
 // completion.
 //
-// Run's goroutine is the trampoline: it drives until the loop hands a
-// process control, resumes that process, and resumes whichever process
-// each one records next, until one leaves the loop at rest — once per
-// run for a program of processes and payload callbacks alone, once per
-// closure event otherwise. Then it drives again. The runtime requires
-// coroutine switches to keep the OS-thread locking they were created
-// under, so Run, Unwind and Shutdown must not be called from a
-// goroutine locked with runtime.LockOSThread unless the processes were
-// spawned on that same locked thread.
+// Run's goroutine drives until the loop hands a process control and
+// switches to it; from then on every process that parks switches
+// straight to the next, and control comes back to Run's goroutine only
+// when the loop comes to rest — once per run for a program of processes
+// and payload callbacks alone, once per closure event otherwise. Then
+// it drives again. The runtime requires coroutine switches to keep the
+// OS-thread locking they were created under, so Run, Unwind and
+// Shutdown must not be called from a goroutine locked with
+// runtime.LockOSThread unless the processes were spawned on that same
+// locked thread.
 func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run while running")
@@ -525,24 +528,34 @@ func (e *Engine) Run(until Time) Time {
 		e.syncObs()
 	}()
 	for e.drive(nil) == loopHanded {
-		for q := e.next; q != nil; q = e.next {
-			e.next = nil
-			q.co.next()
-		}
-		e.rests++
+		e.coros.resume(e.successor())
 	}
 	return e.now
+}
+
+// successor is the participant a process that gave up control hands it
+// to: the process the loop recorded, or Run's goroutine when the loop
+// came to rest — or, during an unwind, Unwind's.
+func (e *Engine) successor() *coro {
+	if q := e.next; q != nil {
+		e.next = nil
+		return q.co
+	}
+	if !e.unwinding {
+		e.rests++
+	}
+	return &e.coros.outer
 }
 
 // drive continues the global event loop on the calling goroutine:
 // Run's (self == nil) or the coroutine of the process which just parked
 // or exited (self). Whoever parks drives — it pops the earliest event
 // in the system and runs payload callbacks inline, hands control to the
-// next dispatched process (see handoff: no switch when that is self,
-// Run's goroutine resumes it otherwise), and where the loop needs Run's
+// next dispatched process (see handoff: no switch when that is self, a
+// switch straight to it otherwise), and where the loop needs Run's
 // goroutine — the run is over (queue empty, Stop, until) or a closure
 // event is due — it returns with nothing recorded, and a driving
-// process yields.
+// process switches to Run's goroutine.
 //
 // Closure events (At/After) run on Run's goroutine only, so a
 // panicking closure unwinds Run's caller rather than a process. The
@@ -624,7 +637,7 @@ func (e *Engine) drive(self *Proc) loopAction {
 }
 
 // rest brings the global loop to rest on Run's goroutine: a driving
-// process records no successor, so its yield returns the loop to Run.
+// process records no successor, so it switches back to Run's.
 func rest(self *Proc) loopAction {
 	if self == nil {
 		return loopDone
@@ -662,9 +675,9 @@ func (e *Engine) Unwind() {
 			// Resume the body: park (or, for a never-started process, the
 			// coroutine itself) observes the unwinding flag and unwinds via
 			// a procExit panic, which exit recovers before the coroutine
-			// yields back here. Nothing runs while the engine does not,
+			// switches back here. Nothing runs while the engine does not,
 			// so even a process dispatched but never resumed is parked.
-			p.co.next()
+			e.coros.resume(p.co)
 		}
 	}
 	e.syncObs()

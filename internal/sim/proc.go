@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"runtime"
 	"time"
 
 	"parastack/internal/obs"
@@ -141,16 +142,29 @@ func (e *Engine) spawn(src, home *shard, name string, start Time, body func(*Pro
 	return p
 }
 
-// A coro is the runtime coroutine (iter.Pull) that carries process
-// bodies. It runs one body per spawn, from the first dispatch of its
-// process to the body's end, and then idles in yield until it is handed
-// the next. An idle coro holds no pointer to a Proc or an Engine, so an
-// unwound engine is collectable and its cleanup stops the coros (see
-// coroPool).
+// A coro is a goroutine that carries process bodies, together with
+// the switch point (slot) control reaches it through. Both come from one
+// iter.Pull: its coroutine runs one body per spawn, from the first
+// dispatch of the process to the body's end, and then idles until it is
+// handed the next. The runtime coro under an iter.Pull always has
+// exactly one goroutine blocked in it, and whoever releases that
+// goroutine — with next when it waits inside the slot's next or has not
+// started, with yield when it waits inside the slot's yield — becomes
+// the one blocked there. iter.Pull checks only that next and yield
+// alternate, not which goroutine calls them, so any participant hands
+// control to any other with one coroswitch: it releases the slot the
+// target is blocked in (see switchTo). Which goroutine is blocked in
+// which slot rotates; each coro records where its own is.
+//
+// An idle coro holds no pointer to a Proc or an Engine, so an unwound
+// engine is collectable and its cleanup stops the coros (see coroPool).
 type coro struct {
 	next  func() (struct{}, bool)
-	stop  func()
 	yield func(struct{}) bool
+
+	// at is the slot this coro's goroutine is blocked in while another
+	// participant holds control: its own until it first runs.
+	at *coro
 
 	// p and body are the spawned process and its body, loaded by spawn
 	// and taken by run when the body starts.
@@ -158,28 +172,40 @@ type coro struct {
 	body func(*Proc)
 
 	pool *coroPool
-	slot int // index in pool.all; -1 once the coroutine has finished
+	slot int // index in pool.all; -1 once the goroutine has finished
+
+	// inNext: the goroutine blocked in this slot waits inside its next,
+	// so yield releases it; otherwise it waits inside yield, or is this
+	// coro's own goroutine not yet started, and next releases it.
+	inNext bool
+	quit   bool // stopAll's order to end the goroutine
 }
 
-// loop is the coroutine's body: one process body per resume from idle.
-// Any exit — stop, or a body's panic on its way to Run's caller — ends
-// the coroutine, so it leaves the pool for good.
+// loop is the coroutine's body: one process body per handover, each
+// ending with the switch to whoever the body's end handed control to,
+// which is where the coroutine idles until it is handed the next. It
+// ends on stopAll's order, or with a body that panics or calls Goexit
+// (see end), and leaves the pool for good then.
 func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
-	defer c.pool.drop(c)
-	for {
-		c.run()
-		if !yield(struct{}{}) {
-			return
-		}
+	defer c.end()
+	for !c.quit {
+		c.switchTo(c.run())
 	}
 }
 
 // run executes the loaded body, or only its exit when the engine is
-// unwinding before the process ever ran.
-func (c *coro) run() {
+// unwinding before the process ever ran, and returns the participant
+// the body's end hands control to.
+func (c *coro) run() *coro {
 	p, body := c.p, c.body
 	c.p, c.body = nil, nil
+	p.run(body)
+	return p.eng.successor()
+}
+
+// run executes body as p's, with p's exit deferred.
+func (p *Proc) run(body func(*Proc)) {
 	defer p.exit()
 	if p.eng.unwinding {
 		panic(procExit{})
@@ -190,8 +216,8 @@ func (c *coro) run() {
 // exit retires p once its body has returned or unwound. A procExit is
 // the engine's own termination order; any other panic is a bug in the
 // body, which leaves p Done and travels on to Run's caller, ending the
-// coroutine with it. A normal exit hands the loop on for good, exactly
-// like a park that is never resumed.
+// coroutine with it. A normal exit drives the loop on, exactly like a
+// park that is never resumed.
 func (p *Proc) exit() {
 	r := recover()
 	e := p.eng
@@ -211,17 +237,108 @@ func (p *Proc) exit() {
 	}
 }
 
-// coroPool is every live coroutine an engine has created. It holds no
-// pointer to the engine, which lets a runtime cleanup on the engine
-// stop the pool once the engine is unreachable.
-type coroPool struct {
-	all []*coro
+// switchTo hands control from c, which holds it, to q, and returns once
+// control is back with c.
+func (c *coro) switchTo(q *coro) { c.pass(q, q.at) }
+
+// pass hands control from c to q with one coroswitch: c releases the
+// goroutine blocked in slot s — the one q is blocked in, or, for a
+// dying coroutine, c's own — and blocks there in its place. It returns
+// once control is back with c. A goroutine that ends also releases
+// whoever is blocked in its slot, and that need not be the participant
+// meant to run next; so a coro that wakes while cur names someone else
+// passes control on to cur.
+func (c *coro) pass(q, s *coro) {
+	cp := c.pool
+	cp.cur = q
+	for {
+		if q == &cp.outer {
+			cp.outerSwitches++
+		}
+		c.at = s
+		cp.switches++
+		if s.inNext {
+			s.inNext = false
+			s.yield(struct{}{})
+		} else {
+			s.inNext = true
+			s.next()
+		}
+		if q = cp.cur; q == c {
+			return
+		}
+		s = q.at
+	}
 }
 
-// add creates a coroutine, parked before its first body.
+// end retires the coroutine: on stopAll's order, or under a body's
+// panic or Goexit. Its goroutine's end releases whoever is blocked in
+// c's slot, so end first names the outer goroutine as cur: the
+// released coro passes control on to it, and it raises the body's
+// fault (see resume). A panic is recovered here and carried as a value,
+// so iter.Pull does not re-raise it in the released goroutine. A Goexit
+// cannot be stopped, and iter.Pull repeats it in a goroutine released
+// from the slot's next; so the dying coroutine first blocks in its own
+// slot, and ends only when the outer goroutine releases it, which
+// leaves the outer goroutine the one the Goexit reaches.
+func (c *coro) end() {
+	cp := c.pool
+	cp.drop(c)
+	cp.cur = &cp.outer
+	if c.quit {
+		return
+	}
+	if r := recover(); r != nil {
+		cp.fault = r
+		return
+	}
+	cp.fault, cp.dying = goexitFault{}, c
+	c.pass(&cp.outer, c)
+	cp.cur = &cp.outer
+}
+
+// goexitFault is the fault of a body that called runtime.Goexit.
+type goexitFault struct{}
+
+// coroPool is every live coroutine an engine has created, and the
+// switchboard control passes through. It holds no pointer to the
+// engine, which lets a runtime cleanup on the engine stop the pool once
+// the engine is unreachable.
+type coroPool struct {
+	all []*coro
+
+	// outer stands for the one goroutine outside the pool that takes
+	// part: the caller of Run, Unwind or Shutdown, or the engine's
+	// cleanup. It has no slot of its own, and control comes back to it
+	// only when the loop comes to rest, an unwound body ends, or a
+	// coroutine dies.
+	outer coro
+	// cur is the participant that should hold control (see pass).
+	cur *coro
+	// fault is a body's panic value, or goexitFault, on its way to the
+	// outer goroutine; dying is the coro whose body called Goexit,
+	// blocked in its own slot until the outer goroutine lets it end.
+	fault any
+	dying *coro
+
+	// switches counts coroswitches; outerSwitches those made to hand
+	// control to the outer goroutine (pinned by tests).
+	switches, outerSwitches uint64
+}
+
+// newCoroPool returns an empty pool, its outer participant in place.
+func newCoroPool() *coroPool {
+	cp := &coroPool{}
+	cp.outer.pool = cp
+	return cp
+}
+
+// add creates a coroutine, blocked in its own slot before its first
+// body.
 func (cp *coroPool) add() *coro {
 	c := &coro{pool: cp, slot: len(cp.all)}
-	c.next, c.stop = iter.Pull(c.loop)
+	c.at = c
+	c.next, _ = iter.Pull(c.loop)
 	cp.all = append(cp.all, c)
 	return c
 }
@@ -239,13 +356,32 @@ func (cp *coroPool) drop(c *coro) {
 	c.slot = -1
 }
 
+// resume hands control from the outer goroutine to c and returns when
+// it comes back, raising the panic or Goexit of a body that ended on
+// the way.
+func (cp *coroPool) resume(c *coro) {
+	cp.outer.switchTo(c)
+	f := cp.fault
+	cp.fault = nil
+	if d := cp.dying; d != nil {
+		cp.dying = nil
+		cp.outer.switchTo(d) // d ends, and iter.Pull may Goexit us here
+	}
+	if _, ok := f.(goexitFault); ok {
+		runtime.Goexit()
+	}
+	if f != nil {
+		panic(f)
+	}
+}
+
 // stopAll ends every coroutine in the pool, releasing its goroutine.
 // Every coroutine must be idle: between bodies, or never started.
 func (cp *coroPool) stopAll() {
 	for n := len(cp.all); n > 0; n = len(cp.all) {
 		c := cp.all[n-1]
-		cp.drop(c)
-		c.stop()
+		c.quit = true
+		cp.outer.switchTo(c)
 	}
 }
 
@@ -283,8 +419,8 @@ func (p *Proc) SpawnNow(name string, body func(*Proc)) *Proc {
 // handoff gives control to q at virtual time t on behalf of the loop
 // owner self (nil on Run's goroutine): the one way a process is made
 // to run. When q is the owner itself — its own wake came up next — it
-// simply keeps going; otherwise q is recorded as the process Run's
-// goroutine resumes next, and a process caller yields to it at once.
+// simply keeps going; otherwise q is recorded as the process control
+// passes to next, and the owner switches to it at once.
 func (e *Engine) handoff(q, self *Proc, t Time) loopAction {
 	if q.state == ProcDone {
 		panic("sim: dispatching terminated process " + q.Name)
@@ -302,18 +438,18 @@ func (e *Engine) handoff(q, self *Proc, t Time) loopAction {
 // park gives up control and blocks until resumed. Whoever parks
 // drives: the parking process itself carries the event loop
 // (Engine.drive) forward. It resumes inline when its own wake is the
-// next dispatch; otherwise it yields to Run's goroutine, which resumes
-// the process the loop recorded or, if the loop came to rest, drives on
-// itself. During an unwind the park is an acknowledgement and the
-// resume a termination order: park unwinds the body with a procExit
-// panic so the caller's defers still run.
+// next dispatch; otherwise it switches straight to the process the loop
+// recorded or, if the loop came to rest, to Run's goroutine, which
+// drives on itself. During an unwind the park is an acknowledgement and
+// the resume a termination order: park unwinds the body with a
+// procExit panic so the caller's defers still run.
 func (p *Proc) park(state ProcState) {
 	p.state = state
 	e := p.eng
 	if !e.unwinding && e.drive(p) == loopSelf {
 		return
 	}
-	p.co.yield(struct{}{})
+	p.co.switchTo(e.successor())
 	if e.unwinding {
 		panic(procExit{})
 	}

@@ -165,8 +165,8 @@ const (
 	loopDone loopAction = iota
 	// loopHanded: the loop was handed on — to the process recorded in
 	// Engine.next, or at rest back to Run's goroutine when none is; a
-	// calling process must yield without touching engine, shard or
-	// event state again.
+	// calling process must switch to it (Engine.successor) without
+	// touching engine, shard or event state again.
 	loopHanded
 	// loopSelf: the next event is the calling process's own wake; it
 	// resumes inline without a switch.
