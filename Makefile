@@ -69,12 +69,17 @@ sim-chain-smoke:
 	$(GO) test -race -count=5 ./internal/service
 
 # Kill-and-resume check on the tiny built-in grid: run half the sweep
-# (-halt-after is the deterministic crash stand-in), then resume and
-# finish. Exercises the durable log, the resume index, and the CLI.
+# (-halt-after is the deterministic crash stand-in), tear the last
+# record as a crash mid-write would, then resume twice. The first
+# resume re-runs the torn cell and finishes; the second must still
+# load the log, which holds only if the first cut the torn tail before
+# appending. Exercises the durable log, the resume index, and the CLI.
 SWEEP_SMOKE_LOG := /tmp/parastack-sweep-smoke.jsonl
 sweep-smoke:
 	@rm -f $(SWEEP_SMOKE_LOG)
 	$(GO) run ./cmd/pssweep -grid smoke -out $(SWEEP_SMOKE_LOG) -halt-after 2
+	truncate -s -25 $(SWEEP_SMOKE_LOG)
+	$(GO) run ./cmd/pssweep -grid smoke -out $(SWEEP_SMOKE_LOG) -resume
 	$(GO) run ./cmd/pssweep -grid smoke -out $(SWEEP_SMOKE_LOG) -resume
 	@rm -f $(SWEEP_SMOKE_LOG)
 
@@ -120,9 +125,12 @@ service-smoke:
 # the daemon after the first verdict, restart it on the same journal,
 # and require exactly one verdict per job — bit-identical to
 # uninterrupted in-process runs — with the verdict ledger auditing
-# clean (see cmd/parastackd/recover_test.go).
+# clean (see cmd/parastackd/recover_test.go). Then the second-crash
+# case: a restart over a journal whose last admit was torn must still
+# replay the next job it acks (internal/service/journal_test.go).
 recover-smoke:
 	$(GO) test -race -run 'TestKillAndRecoverDaemon$$' -count=1 -v ./cmd/parastackd
+	$(GO) test -race -run 'TestRecoverOverTornTail$$' -count=1 -v ./internal/service
 
 # Ledger smoke: the tamper-evidence contract end to end on disk. A
 # sweep runs through the Merkle ledger sink, is killed mid-grid and

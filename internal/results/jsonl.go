@@ -10,11 +10,18 @@ import (
 
 // JSONL is the plain-file Sink/Reader: one payload per line, appended
 // in arrival order, fsync'd every SyncEvery appends and on Flush/Close.
-// It is the results-sink twin of the sweep's log (internal/sweep.Log)
-// with two additions the service journal needs: it implements Reader —
-// Records re-reads the file, tolerating a torn final line from a hard
-// kill — and it reports Lag, the number of appended records not yet
-// covered by an fsync (the crash-loss window a health probe surfaces).
+// It is the repository's one append-only log: the sweep's results log
+// (internal/sweep.Log) is this type plus a marshaller, and the service
+// admission journal writes through it directly. It implements Reader —
+// Records re-reads the file — and reports Lag, the number of appended
+// records not yet covered by an fsync (the crash-loss window a health
+// probe surfaces).
+//
+// The crash rule (DESIGN.md §10): a record is committed iff its
+// trailing newline is durable. ReadJSONL drops an unterminated tail,
+// and OpenJSONL cuts it off the file before the first append, so a
+// record appended after a crash-restart starts on a line of its own
+// instead of being glued onto the fragment the crash left behind.
 //
 // Keys are not persisted: the payload is written verbatim, so any
 // identity a reader needs must ride inside the payload (the journal's
@@ -31,19 +38,54 @@ type JSONL struct {
 }
 
 // OpenJSONL opens (creating if absent, appending otherwise) a JSONL
-// sink at path. syncEvery is the fsync batch size; <= 0 selects 1 —
-// fsync on every append — because the primary consumer is the service
-// admission journal, whose journal-before-ack invariant is only as
-// strong as the sync policy.
+// sink at path, first cutting the file back to just past its last
+// newline (see the crash rule on JSONL). syncEvery is the fsync batch
+// size; <= 0 selects 1 — fsync on every append — because the primary
+// consumer is the service admission journal, whose journal-before-ack
+// invariant is only as strong as the sync policy.
 func OpenJSONL(path string, syncEvery int) (*JSONL, error) {
 	if syncEvery <= 0 {
 		syncEvery = 1
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := cutTornTail(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &JSONL{path: path, f: f, bw: bufio.NewWriter(f), every: syncEvery}, nil
+}
+
+// cutTornTail truncates f to just past its last newline, scanning back
+// from the end, and fsyncs the cut. A file that is empty or already
+// ends in a newline is left untouched.
+func cutTornTail(f *os.File) error {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 4096)
+	keep := size
+	for keep > 0 {
+		chunk := buf[:min(keep, int64(len(buf)))]
+		if _, err := f.ReadAt(chunk, keep-int64(len(chunk))); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
+			keep -= int64(len(chunk) - i - 1)
+			break
+		}
+		keep -= int64(len(chunk))
+	}
+	if keep == size {
+		return nil
+	}
+	if err := f.Truncate(keep); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append implements Sink: the payload becomes one line. The line is
@@ -115,12 +157,9 @@ func (l *JSONL) Close() error {
 	return closeErr
 }
 
-// Records implements Reader: every complete line, in file order, as a
-// Record with an empty Key. Buffered-but-unflushed appends are synced
-// first so a sink reads its own writes. A torn final line — no
-// trailing newline, the signature of a hard kill mid-write — is
-// dropped, matching the sweep log's crash-recovery rule; empty lines
-// are skipped.
+// Records implements Reader: every committed line, in file order, as
+// a Record with an empty Key (see ReadJSONL). Buffered-but-unflushed
+// appends are synced first so a sink reads its own writes.
 func (l *JSONL) Records() ([]Record, error) {
 	l.mu.Lock()
 	if !l.closed && l.sinceSync > 0 {
@@ -136,8 +175,10 @@ func (l *JSONL) Records() ([]Record, error) {
 
 // ReadJSONL reads a JSONL file written by a JSONL sink (or any other
 // line-per-record writer) into Records, without needing the sink open.
-// A missing file is an empty result, not an error — a first boot with
-// a journal path configured has nothing to replay.
+// Only committed lines are returned: an unterminated final line — the
+// signature of a hard kill mid-write — is dropped, and empty lines are
+// skipped. A missing file is an empty result, not an error — a first
+// boot with a journal path configured has nothing to replay.
 func ReadJSONL(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -123,5 +124,62 @@ func TestReadJSONLMissingFile(t *testing.T) {
 	recs, err := ReadJSONL(filepath.Join(t.TempDir(), "absent.jsonl"))
 	if err != nil || recs != nil {
 		t.Fatalf("missing file = (%v, %v), want (nil, nil)", recs, err)
+	}
+}
+
+// TestJSONLTornWriteWalk cuts a K-record file at every byte offset —
+// every point a crash can stop a write — then reopens it, appends one
+// record and reads it back. The crash rule says exactly the records
+// whose newline lies at or before the cut survive, followed by the new
+// one on a line of its own.
+func TestJSONLTornWriteWalk(t *testing.T) {
+	// The long record makes some tails longer than the 4 KiB block the
+	// open-time scan reads back from the end.
+	long := `{"long":"` + strings.Repeat("x", 4200) + `"}`
+	payloads := []string{`{"a":1}`, `{"bb":[2,2]}`, long, `{"dddd":4}`}
+	var file []byte
+	var ends []int // offset just past each record's newline
+	for i, p := range payloads {
+		file = append(file, p...)
+		file = append(file, '\n')
+		ends = append(ends, len(file))
+		if i == 1 {
+			file = append(file, '\n') // a blank line is no record
+		}
+	}
+	path := filepath.Join(t.TempDir(), "walk.jsonl")
+	const fresh = `{"new":true}`
+	for n := 0; n <= len(file); n++ {
+		if err := os.WriteFile(path, file[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenJSONL(path, 1)
+		if err != nil {
+			t.Fatalf("cut %d: open: %v", n, err)
+		}
+		if err := l.Append(Record{Payload: []byte(fresh)}); err != nil {
+			t.Fatalf("cut %d: append: %v", n, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("cut %d: close: %v", n, err)
+		}
+		var want []string
+		for i, end := range ends {
+			if end <= n {
+				want = append(want, payloads[i])
+			}
+		}
+		want = append(want, fresh)
+		recs, err := ReadJSONL(path)
+		if err != nil {
+			t.Fatalf("cut %d: read: %v", n, err)
+		}
+		got := make([]string, len(recs))
+		for i, r := range recs {
+			got[i] = string(r.Payload)
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("cut %d: read back %q, want %q", n, got, want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package results defines the unified results-sink API: the small,
 // dependency-free contract every durable results consumer in the
-// repository satisfies. The sweep's JSONL log (internal/sweep.Log),
-// the tamper-evident Merkle ledger (internal/ledger.Ledger), and any
+// repository satisfies. The plain-file JSONL log (JSONL), the
+// tamper-evident Merkle ledger (internal/ledger.Ledger), and any
 // future backend (an object store, a network forwarder) all implement
 // Sink, so the sweep orchestrator and the detection service write
 // terminal records through one interface instead of a concrete log
@@ -9,9 +9,12 @@
 //
 // The package is a deliberate leaf: it imports only the standard
 // library, so any layer — sweep, service, ledger, a CLI — can depend
-// on it without cycles. Besides the contract it ships one minimal
-// implementation, the plain-file JSONL sink (see jsonl.go), which the
-// detection service uses as its default admission-journal backend.
+// on it without cycles. Besides the contract it ships the repository's
+// one append-only log implementation, the JSONL sink and its reader
+// (see jsonl.go): the sweep's results log wraps it with a schema, and
+// the detection service uses it as its default admission journal. Its
+// crash rule — a record is committed iff its trailing newline is
+// durable — is stated once, on JSONL, and argued in DESIGN.md §10.
 package results
 
 import "errors"
@@ -19,8 +22,7 @@ import "errors"
 // ErrClosed is the shared write-after-close sentinel: Append on any
 // closed Sink returns an error satisfying errors.Is(err, ErrClosed).
 // Callers racing a shutdown use it to distinguish "the sink is gone,
-// drop or re-route the record" from a real I/O failure. sweep.ErrClosed
-// aliases this value, so legacy comparisons keep working.
+// drop or re-route the record" from a real I/O failure.
 var ErrClosed = errors.New("results: sink is closed")
 
 // Record is one terminal result in transit: a stable cell key plus the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -235,6 +236,57 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecoverOverTornTail is the second-crash case of the exactly-once
+// argument (DESIGN.md §10): a daemon restarted over a journal whose last
+// admit was torn by a crash acks a new job, then crashes again before
+// deciding it. The next replay must find that job open. The torn admit
+// was never acked, so it is no job at all; what must not happen is the
+// new admit being glued onto its fragment and skipped as corrupt.
+func TestRecoverOverTornTail(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
+	js := simJob("j0", 1)
+	torn, err := json.Marshal(JournalRecord{Schema: JournalSchema, Kind: JournalKindAdmit, JobID: js.ID, Job: &js})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath, torn[:len(torn)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	defer close(gate)
+	wedged := func(rc experiment.RunConfig) experiment.RunResult { <-gate; return fakeRun(rc) }
+	jnl, err := results.OpenJSONL(journalPath, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	s := New(Config{Run: wedged, Workers: 1, Journal: jnl})
+	rep, err := s.Recover(jnl)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if len(rep.Decided) != 0 || len(rep.Open) != 0 || rep.Skipped != 0 {
+		t.Fatalf("replay over the torn admit = %s, want nothing", rep)
+	}
+	if err := s.Submit(simJob("j1", 1)); err != nil {
+		t.Fatalf("submit j1: %v", err)
+	}
+	// "Crash" again: j1 is acked and journaled but its run is wedged.
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := results.ReadJSONL(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep = ReplayJournal(recs)
+	if len(rep.Open) != 1 || rep.Open[0].ID != "j1" || len(rep.Decided) != 0 || rep.Skipped != 0 {
+		t.Fatalf("replay after the second crash = %s, want j1 open", rep)
+	}
 }
 
 // TestRecoverExactlyOnce is the crash-recovery acceptance pin, run

@@ -27,9 +27,10 @@ func writeLog(t testing.TB, content string) string {
 	return path
 }
 
-// TestLoadCorruptionTable enumerates the corruption shapes the fuzzer
+// TestLoadCorruption enumerates the corruption shapes the fuzzer
 // explores, pinning the intended verdict for each: only a torn final
-// line is forgiven.
+// line is forgiven, and it is dropped even when it parses (a record is
+// committed iff its trailing newline is durable).
 func TestLoadCorruption(t *testing.T) {
 	v0, v1 := validLine("a", 0), validLine("b", 1)
 	cases := []struct {
@@ -42,6 +43,7 @@ func TestLoadCorruption(t *testing.T) {
 		{"blank lines only", "\n\n  \n", false, 0},
 		{"two valid records", v0 + "\n" + v1 + "\n", false, 2},
 		{"torn tail", v0 + "\n" + v1[:len(v1)-9], false, 1},
+		{"complete record missing its trailing newline", v0 + "\n" + v1, false, 1},
 		{"mid-file garbage", v0 + "\n{garbage\n" + v1 + "\n", true, 0},
 		{"garbage first line", "{garbage\n" + v0 + "\n", true, 0},
 		{"complete non-JSON last line", v0 + "\nnot json at all\n", true, 0},

@@ -1,27 +1,13 @@
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 
 	"parastack/internal/experiment"
 	"parastack/internal/results"
 )
-
-// ErrClosed is returned by Write/Append on a Log that has been Closed.
-// It is a sentinel so callers racing a shutdown can distinguish "the
-// log is gone, drop the record or re-route it" from a real I/O failure
-// — before the closed flag existed, a late Write hit the closed
-// *os.File and surfaced a confusing "file already closed" error after
-// up to syncEvery-1 records had already been silently flushed away.
-// It aliases the shared results.ErrClosed sentinel, so one errors.Is
-// check covers every results sink (the JSONL log, the Merkle ledger).
-var ErrClosed = results.ErrClosed
 
 // SchemaVersion tags every results-log record; Load rejects logs
 // written by an incompatible schema. The record format is one JSON
@@ -62,187 +48,98 @@ type Record struct {
 	Result *experiment.RunResult `json:"result,omitempty"`
 }
 
-// Log is the durable JSONL results writer. Records are buffered and
-// fsync'd in batches (every SyncEvery records and on Close), bounding
-// both the syscall rate and the amount of work a crash can lose. Write
-// is safe for concurrent use by a sweep's workers.
+// Log is the durable results log: a results.JSONL whose lines are
+// marshalled Records. Records are fsync'd in batches (every SyncEvery
+// records and on Close), bounding both the syscall rate and the amount
+// of work a crash can lose; what a crash keeps is the JSONL crash rule
+// (DESIGN.md §10). Write is safe for concurrent use by a sweep's
+// workers.
 type Log struct {
-	mu        sync.Mutex
-	f         *os.File
-	bw        *bufio.Writer
-	sinceSync int
-	every     int
-	closed    bool
+	*results.JSONL
 }
 
 // defaultSyncEvery is the fsync batch size when Options leave it zero.
 const defaultSyncEvery = 16
 
-func openLog(path string, truncate bool, syncEvery int) (*Log, error) {
+// CreateLog opens a fresh results log at path, truncating any old one.
+// syncEvery is the fsync batch size (<= 0 selects 16).
+func CreateLog(path string, syncEvery int) (*Log, error) {
+	if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	return openLog(path, syncEvery)
+}
+
+// openLog opens the results log at path for appending (the resume
+// path), creating it if absent; results.OpenJSONL cuts a torn tail.
+func openLog(path string, syncEvery int) (*Log, error) {
 	if syncEvery <= 0 {
 		syncEvery = defaultSyncEvery
 	}
-	flags := os.O_CREATE | os.O_WRONLY
-	if truncate {
-		flags |= os.O_TRUNC
-	} else {
-		flags |= os.O_APPEND
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	j, err := results.OpenJSONL(path, syncEvery)
 	if err != nil {
 		return nil, err
 	}
-	return &Log{f: f, bw: bufio.NewWriter(f), every: syncEvery}, nil
-}
-
-// CreateLog opens (truncating) a fresh results log at path.
-func CreateLog(path string, syncEvery int) (*Log, error) {
-	return openLog(path, true, syncEvery)
-}
-
-// AppendLog opens path for appending (the resume path), creating it if
-// absent.
-func AppendLog(path string, syncEvery int) (*Log, error) {
-	return openLog(path, false, syncEvery)
+	return &Log{j}, nil
 }
 
 // Write marshals and appends one record, fsyncing if the batch is due.
-// It is the legacy entry point, kept as a thin adapter over Append —
-// the results.Sink method the sweep machinery now writes through.
-// Writing to a closed log returns ErrClosed without touching the file.
+// Writing to a closed log returns results.ErrClosed without touching
+// the file.
 func (l *Log) Write(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return l.Append(results.Record{Key: rec.Key, Payload: data})
+	return writeRecord(l, rec)
 }
 
-// Append implements results.Sink: the payload — one already-marshaled
-// record — becomes one line of the JSONL log (the key is carried
-// inside the payload, so the log ignores rec.Key). Batched fsync and
-// the closed-log contract behave exactly as Write always did.
-func (l *Log) Append(rec results.Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, err := l.bw.Write(rec.Payload); err != nil {
-		return err
-	}
-	if err := l.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	l.sinceSync++
-	if l.sinceSync >= l.every {
-		l.sinceSync = 0
-		if err := l.bw.Flush(); err != nil {
-			return err
-		}
-		return l.f.Sync()
-	}
-	return nil
-}
-
-// Close flushes, fsyncs, and closes the log file. A second Close is a
-// no-op returning nil, so every exit path of a CLI can close the log
-// unconditionally without tracking which path got there first.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	flushErr := l.bw.Flush()
-	syncErr := l.f.Sync()
-	closeErr := l.f.Close()
-	if flushErr != nil {
-		return flushErr
-	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
-}
-
-// Load reads every record of a results log. A truncated final line
-// (the signature of a hard kill mid-write) is tolerated and dropped;
-// any other malformed or schema-mismatched line is an error, so silent
-// corruption cannot masquerade as completed work.
+// Load reads every committed record of a results log; a missing file
+// is an error. An unterminated final line is not committed (the JSONL
+// crash rule) and is dropped; any other malformed or schema-mismatched
+// line is an error, so silent corruption cannot masquerade as
+// completed work.
 func Load(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	if _, err := os.Stat(path); err != nil {
+		return nil, err
+	}
+	recs, err := results.ReadJSONL(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var out []Record
-	r := bufio.NewReader(f)
-	line := 0
-	for {
-		data, err := r.ReadBytes('\n')
-		complete := err == nil
-		if len(bytes.TrimSpace(data)) > 0 {
-			line++
-			var rec Record
-			if uerr := json.Unmarshal(data, &rec); uerr != nil {
-				if !complete {
-					break // torn tail from a crash: resumable, drop it
-				}
-				return nil, fmt.Errorf("sweep: %s line %d: %w", path, line, uerr)
-			}
-			if rec.Schema != SchemaVersion {
-				return nil, fmt.Errorf("sweep: %s line %d: schema %q, want %q", path, line, rec.Schema, SchemaVersion)
-			}
-			out = append(out, rec)
+	out, err := decode(recs)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %s %w", path, err)
+	}
+	return out, nil
+}
+
+// decode unmarshals and schema-checks stored records, in order. Load
+// and every resume share it, so resuming from a ledger accepts exactly
+// the records that loading the JSONL log it replaces would.
+func decode(recs []results.Record) ([]Record, error) {
+	out := make([]Record, len(recs))
+	for i, rr := range recs {
+		if err := json.Unmarshal(rr.Payload, &out[i]); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i+1, err)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
+		if out[i].Schema != SchemaVersion {
+			return nil, fmt.Errorf("record %d: schema %q, want %q", i+1, out[i].Schema, SchemaVersion)
 		}
 	}
 	return out, nil
 }
 
-// loadPriorFromReader builds the resume index from any results.Reader
-// (the ledger, in practice): each payload is decoded and schema-checked
-// exactly as Load checks a JSONL line, and the last record per key
-// wins — so resuming against a ledger applies the same semantics as
-// resuming against the log it replaces.
-func loadPriorFromReader(r results.Reader) (map[string]Record, error) {
+// readPrior builds the resume index from any results.Reader (the JSONL
+// log at Options.Out, or a ledger): the last record per key wins.
+func readPrior(r results.Reader) (map[string]Record, error) {
 	recs, err := r.Records()
 	if err != nil {
 		return nil, err
 	}
-	prior := make(map[string]Record, len(recs))
-	for i, rr := range recs {
-		var rec Record
-		if err := json.Unmarshal(rr.Payload, &rec); err != nil {
-			return nil, fmt.Errorf("sweep: sink record %d (key %q): %w", i, rr.Key, err)
-		}
-		if rec.Schema != SchemaVersion {
-			return nil, fmt.Errorf("sweep: sink record %d (key %q): schema %q, want %q", i, rr.Key, rec.Schema, SchemaVersion)
-		}
-		prior[rec.Key] = rec
-	}
-	return prior, nil
-}
-
-// loadPrior builds the resume index: last terminal record per key.
-func loadPrior(path string) (map[string]Record, error) {
-	recs, err := Load(path)
+	decoded, err := decode(recs)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]Record{}, nil
-		}
-		return nil, err
+		return nil, fmt.Errorf("sweep: resume: %w", err)
 	}
-	prior := make(map[string]Record, len(recs))
-	for _, r := range recs {
-		prior[r.Key] = r
+	prior := make(map[string]Record, len(decoded))
+	for _, rec := range decoded {
+		prior[rec.Key] = rec
 	}
 	return prior, nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"parastack/internal/results"
 )
 
 func TestLogClosedState(t *testing.T) {
@@ -20,8 +22,8 @@ func TestLogClosedState(t *testing.T) {
 	}
 	// Write after Close is the shutdown race; it must be the sentinel,
 	// not a raw "file already closed" I/O error.
-	if err := l.Write(Record{Schema: SchemaVersion, Key: "b"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("write-after-close error = %v, want ErrClosed", err)
+	if err := l.Write(Record{Schema: SchemaVersion, Key: "b"}); !errors.Is(err, results.ErrClosed) {
+		t.Fatalf("write-after-close error = %v, want results.ErrClosed", err)
 	}
 	// Close is idempotent so every CLI exit path can close unconditionally.
 	if err := l.Close(); err != nil {

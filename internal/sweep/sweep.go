@@ -111,38 +111,38 @@ func LiteralRetries(n int) int {
 // a caller-provided Options.Sink (owned=false — the caller closes it),
 // or a JSONL log opened at Out (owned=true — the sweep closes it), or
 // nil for in-memory-only sweeps. When Resume is set, prior holds the
-// last terminal record per key, loaded from whichever source will be
-// written.
+// last terminal record per key, read back through the results.Reader
+// that will be written — the log and a ledger take the same path.
 func (o Options) openSink() (sink results.Sink, owned bool, prior map[string]Record, err error) {
-	prior = map[string]Record{}
-	if o.Sink != nil {
-		if o.Resume {
-			r, ok := o.Sink.(results.Reader)
-			if !ok {
-				return nil, false, nil, fmt.Errorf("sweep: Options.Sink %T does not implement results.Reader, so it cannot resume", o.Sink)
-			}
-			if prior, err = loadPriorFromReader(r); err != nil {
-				return nil, false, nil, err
-			}
+	sink, prior = o.Sink, map[string]Record{}
+	if sink == nil {
+		if o.Out == "" {
+			return nil, false, prior, nil
 		}
-		return o.Sink, false, prior, nil
-	}
-	if o.Out == "" {
-		return nil, false, prior, nil
-	}
-	var log *Log
-	if o.Resume {
-		if prior, err = loadPrior(o.Out); err != nil {
+		open := CreateLog
+		if o.Resume {
+			open = openLog
+		}
+		log, err := open(o.Out, o.SyncEvery)
+		if err != nil {
 			return nil, false, nil, err
 		}
-		log, err = AppendLog(o.Out, o.SyncEvery)
-	} else {
-		log, err = CreateLog(o.Out, o.SyncEvery)
+		sink, owned = log, true
 	}
-	if err != nil {
+	if !o.Resume {
+		return sink, owned, prior, nil
+	}
+	r, ok := sink.(results.Reader)
+	if !ok {
+		return nil, false, nil, fmt.Errorf("sweep: Options.Sink %T does not implement results.Reader, so it cannot resume", sink)
+	}
+	if prior, err = readPrior(r); err != nil {
+		if owned {
+			sink.Close()
+		}
 		return nil, false, nil, err
 	}
-	return log, true, prior, nil
+	return sink, owned, prior, nil
 }
 
 func (o Options) withDefaults() Options {

@@ -310,6 +310,19 @@ func TestLoadTornTail(t *testing.T) {
 	if resumed.Executed != 1 || !resumed.Complete() {
 		t.Errorf("resume after torn tail: executed=%d complete=%t, want 1/true", resumed.Executed, resumed.Complete())
 	}
+	// The re-run record must land on a line of its own, not glued onto
+	// the torn fragment: the log loads whole and a second resume has
+	// nothing left to do.
+	again, err := Resume(context.Background(), log, spec, Options{Run: fakeRun})
+	if err != nil {
+		t.Fatalf("second resume after torn tail: %v", err)
+	}
+	if again.Executed != 0 || !again.Complete() {
+		t.Errorf("second resume: executed=%d complete=%t, want 0/true", again.Executed, again.Complete())
+	}
+	if recs, err := Load(log); err != nil || len(recs) != len(whole) {
+		t.Fatalf("load after resume over torn tail = %d records, %v; want %d", len(recs), err, len(whole))
+	}
 
 	// Mid-file corruption, by contrast, must be loud.
 	bad := append([]byte("{garbage\n"), data...)
@@ -318,6 +331,54 @@ func TestLoadTornTail(t *testing.T) {
 	}
 	if _, err := Load(log); err == nil {
 		t.Error("Load accepted mid-file corruption")
+	}
+}
+
+// TestTornWriteWalk cuts a complete results log at every byte offset a
+// crash can stop a write, then resumes, loads and resumes again. Every
+// cut must resume cleanly, re-running exactly the cells whose records
+// were cut; the second resume must run nothing; and the aggregate must
+// equal the uninterrupted sweep's.
+func TestTornWriteWalk(t *testing.T) {
+	spec := testSpec()
+	ctx := context.Background()
+	log := filepath.Join(t.TempDir(), "sweep.jsonl")
+	straight, err := Run(ctx, spec, Options{Run: fakeRun, Out: log, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := aggregateJSON(t, straight)
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= len(data); n++ {
+		if err := os.WriteFile(log, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		committed := strings.Count(string(data[:n]), "\n")
+		first, err := Resume(ctx, log, spec, Options{Run: fakeRun, Workers: 1})
+		if err != nil {
+			t.Fatalf("cut %d: resume: %v", n, err)
+		}
+		if first.Executed != straight.Total-committed || !first.Complete() {
+			t.Fatalf("cut %d: resume executed %d (complete=%t), want %d", n, first.Executed, first.Complete(), straight.Total-committed)
+		}
+		if recs, err := Load(log); err != nil || len(recs) != straight.Total {
+			t.Fatalf("cut %d: load after resume = %d records, %v; want %d", n, len(recs), err, straight.Total)
+		}
+		second, err := Resume(ctx, log, spec, Options{Run: fakeRun, Workers: 1})
+		if err != nil {
+			t.Fatalf("cut %d: second resume: %v", n, err)
+		}
+		if second.Executed != 0 {
+			t.Fatalf("cut %d: second resume executed %d, want 0", n, second.Executed)
+		}
+		for _, o := range []*Outcome{first, second} {
+			if got := aggregateJSON(t, o); got != want {
+				t.Fatalf("cut %d: aggregate differs from uninterrupted:\n got %s\nwant %s", n, got, want)
+			}
+		}
 	}
 }
 
