@@ -136,7 +136,7 @@ recover-smoke:
 # sweep runs through the Merkle ledger sink, is killed mid-grid and
 # resumed; psverify must pass the intact ledger; a third resume must be
 # pure cache hits (0 executed — the ledger as shared-results cache);
-# then one byte of one committed record blob is corrupted with dd and
+# then one byte of the first record in a committed pack is corrupted with dd and
 # psverify must fail, naming the damaged record's cell key.
 LEDGER_SMOKE_DIR := /tmp/parastack-ledger-smoke
 ledger-smoke:
@@ -147,7 +147,7 @@ ledger-smoke:
 	@$(GO) run ./cmd/pssweep -grid smoke -ledger $(LEDGER_SMOKE_DIR) -resume > /tmp/parastack-ledger-smoke.out \
 		&& grep -q '(0 executed' /tmp/parastack-ledger-smoke.out \
 		|| { echo "ledger-smoke: third pass was not pure cache hits:"; cat /tmp/parastack-ledger-smoke.out; exit 1; }
-	@f=$$(ls $(LEDGER_SMOKE_DIR)/records/* | head -1); \
+	@f=$$(ls $(LEDGER_SMOKE_DIR)/packs/* | head -1); \
 	key=$$(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' $$f | head -1); \
 	printf '\377' | dd of=$$f bs=1 seek=5 count=1 conv=notrunc status=none; \
 	if $(GO) run ./cmd/psverify -out $(LEDGER_SMOKE_DIR) >/tmp/parastack-ledger-smoke.out 2>&1; then \

@@ -1,10 +1,11 @@
 // Command psverify audits a parastack results ledger: it replays every
 // batch's Merkle root from its manifest, walks the root chain up to
-// HEAD, re-hashes every committed record blob against its content
-// address, and checks every stored inclusion proof — so any torn
-// write, truncation, or single-bit flip anywhere in the ledger is
-// reported, localized to the damaged record's cell key when the damage
-// is record-level.
+// HEAD, re-hashes every committed record's slice of its batch's pack
+// against the manifest's content hash, and checks every record's
+// inclusion proof, recomputed from the manifest, against its batch
+// root — so any torn write, truncation, or single-bit flip anywhere in
+// the ledger is reported, localized to the damaged record's cell key
+// when the damage is record-level.
 //
 // Usage:
 //

@@ -2,6 +2,9 @@ package ledger
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"parastack/internal/results"
@@ -259,7 +262,7 @@ func TestLedgerFlush(t *testing.T) {
 	})
 }
 
-// Torn tail, window 1: blobs written, no manifest. Open tolerates the
+// Torn tail, window 1: pack written, no manifest. Open tolerates the
 // orphans; Verify counts them without failing.
 func TestLedgerTornTailOrphanBlobs(t *testing.T) {
 	forEachStore(t, func(t *testing.T, store Store) {
@@ -277,12 +280,11 @@ func TestLedgerTornTailOrphanBlobs(t *testing.T) {
 		}
 
 		// Simulate the crash window: a manifest for seq+1 landed but is
-		// torn (unparseable), plus a stray record blob.
+		// torn (unparseable), plus a stray pack for seq+1.
 		if err := store.Put(batchKey(2), []byte(`{"schema":"parastack-ledg`)); err != nil {
 			t.Fatal(err)
 		}
-		orphan := contentHash([]byte("orphan"))
-		if err := store.Put(recordKey(orphan), []byte("orphan")); err != nil {
+		if err := store.Put(packKey(2), []byte("orphan\n")); err != nil {
 			t.Fatal(err)
 		}
 
@@ -358,6 +360,217 @@ func TestLedgerRollForward(t *testing.T) {
 		rep, err := Verify(store, 0)
 		if err != nil || !rep.OK() {
 			t.Fatalf("Verify after roll-forward: %v, %v", rep.Problems, err)
+		}
+	})
+}
+
+// countingStore records every Put and Get key that reaches the store
+// it wraps.
+type countingStore struct {
+	Store
+	mu   sync.Mutex
+	puts []string
+	gets []string
+}
+
+func (c *countingStore) Put(key string, data []byte) error {
+	c.mu.Lock()
+	c.puts = append(c.puts, key)
+	c.mu.Unlock()
+	return c.Store.Put(key, data)
+}
+
+func (c *countingStore) Get(key string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets = append(c.gets, key)
+	c.mu.Unlock()
+	return c.Store.Get(key)
+}
+
+// reset returns the keys put and got since the last reset.
+func (c *countingStore) reset() (puts, gets []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	puts, gets = c.puts, c.gets
+	c.puts, c.gets = nil, nil
+	return puts, gets
+}
+
+// A batch of any size commits in three Puts — pack, manifest, HEAD —
+// and Open reads HEAD and every manifest (plus the roll-forward probe
+// of the next seq), never a pack.
+func TestLedgerWriteCounts(t *testing.T) {
+	forEachStore(t, func(t *testing.T, store Store) {
+		cs := &countingStore{Store: store}
+		led, err := Open(cs, Options{BatchSize: 1000}) // Flush-driven commits
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.reset()
+		i := 0
+		for seq, b := range []int{1, 5, 64} {
+			for j := 0; j < b; j++ {
+				if err := led.Append(testRecord(i)); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if err := led.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			s := uint64(seq + 1)
+			want := []string{packKey(s), batchKey(s), headKey}
+			if puts, _ := cs.reset(); !reflect.DeepEqual(puts, want) {
+				t.Fatalf("batch of %d: puts %v, want %v", b, puts, want)
+			}
+		}
+		if err := led.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		cs.reset()
+		led, err = Open(cs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer led.Close()
+		puts, gets := cs.reset()
+		want := []string{headKey, batchKey(1), batchKey(2), batchKey(3), batchKey(4)}
+		if len(puts) != 0 || !reflect.DeepEqual(gets, want) {
+			t.Fatalf("Open over 3 batches: puts %v, gets %v, want no puts and gets %v", puts, gets, want)
+		}
+		if !led.Has(testRecord(0).Key) || !led.Has(testRecord(i-1).Key) {
+			t.Fatal("Open did not index the committed keys")
+		}
+	})
+}
+
+// crashStore models a crash at the n-th Put: that Put and every later
+// write fail without reaching the store it wraps.
+type crashStore struct {
+	Store
+	mu      sync.Mutex
+	n, puts int
+}
+
+func (c *crashStore) Put(key string, data []byte) error {
+	c.mu.Lock()
+	c.puts++
+	crashed := c.puts >= c.n
+	c.mu.Unlock()
+	if crashed {
+		return fmt.Errorf("crashed at put %d (%s)", c.n, key)
+	}
+	return c.Store.Put(key, data)
+}
+
+// The commit path, walked exhaustively: crash at every Put of three
+// commits, reopen, and require the ledger to hold exactly the batches
+// whose manifest landed, audit clean, and commit over the torn tail.
+func TestLedgerCommitCrashWalk(t *testing.T) {
+	sizes := []int{2, 3, 1} // records per commit; each commit is 3 Puts
+	var batches [][]results.Record
+	i := 0
+	for _, b := range sizes {
+		var recs []results.Record
+		for j := 0; j < b; j++ {
+			recs = append(recs, testRecord(i))
+			i++
+		}
+		batches = append(batches, recs)
+	}
+	extra := testRecord(i)
+
+	for n := 1; n <= 3*len(sizes)+1; n++ {
+		store := NewMemStore()
+		led, err := Open(&crashStore{Store: store, n: n}, Options{BatchSize: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, recs := range batches {
+			for _, r := range recs {
+				led.Append(r) // fails once a commit has crashed; that is the point
+			}
+			led.Flush()
+		}
+		led.Close()
+
+		// Batch k's manifest is Put 3k-1; a crash at its HEAD Put (3k)
+		// is rolled forward, a crash at its pack or manifest is not.
+		landed := 0
+		for k := 1; k <= len(sizes) && 3*k-1 < n; k++ {
+			landed = k
+		}
+		var want []results.Record
+		for _, recs := range batches[:landed] {
+			want = append(want, recs...)
+		}
+		orphans := 0
+		if n <= 3*len(sizes) && n%3 == 2 {
+			orphans = 1 // the pack of the batch whose manifest crashed
+		}
+
+		led, err = Open(store, Options{BatchSize: 1000})
+		if err != nil {
+			t.Fatalf("crash at put %d: Open: %v", n, err)
+		}
+		if got := led.Seq(); got != uint64(landed) {
+			t.Fatalf("crash at put %d: Seq = %d, want %d", n, got, landed)
+		}
+		checkRecords(t, n, led, want)
+		rep, err := Verify(store, 1)
+		if err != nil || !rep.OK() || rep.Orphans != orphans || rep.Records != len(want) {
+			t.Fatalf("crash at put %d: Verify %+v, %v; want OK, %d orphans, %d records", n, rep, err, orphans, len(want))
+		}
+
+		if err := led.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := led.Close(); err != nil {
+			t.Fatalf("crash at put %d: commit over the torn tail: %v", n, err)
+		}
+		led, err = Open(store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := led.Seq(); got != uint64(landed+1) {
+			t.Fatalf("crash at put %d: Seq after recommit = %d, want %d", n, got, landed+1)
+		}
+		checkRecords(t, n, led, append(want, extra))
+		led.Close()
+		if rep, err := Verify(store, 1); err != nil || !rep.OK() || rep.Orphans != 0 {
+			t.Fatalf("crash at put %d: Verify after recommit %+v, %v", n, rep, err)
+		}
+	}
+}
+
+func checkRecords(t *testing.T, n int, led *Ledger, want []results.Record) {
+	t.Helper()
+	got, err := led.Records()
+	if err != nil {
+		t.Fatalf("crash at put %d: Records: %v", n, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("crash at put %d: %d records, want %d", n, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || string(got[i].Payload) != string(want[i].Payload) {
+			t.Fatalf("crash at put %d: record %d = %q, want %q", n, i, got[i].Key, want[i].Key)
+		}
+	}
+}
+
+// A ledger written under another schema is refused by name, not
+// misread.
+func TestLedgerRefusesOtherSchema(t *testing.T) {
+	forEachStore(t, func(t *testing.T, store Store) {
+		const v1 = "parastack-ledger/v1"
+		if err := store.Put(headKey, []byte(`{"schema":"`+v1+`","seq":1,"root":"00"}`)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(store, Options{})
+		if err == nil || !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), SchemaVersion) {
+			t.Fatalf("Open over a v1 HEAD = %v, want an error naming %q and %q", err, v1, SchemaVersion)
 		}
 	})
 }

@@ -1,12 +1,11 @@
 // Package ledger is the tamper-evident results ledger: an append-only
-// store of result records, batched into Merkle trees, with a
-// content-addressed dedup index keyed by result identity (sweep cell
-// keys / campaign fingerprints). It is the durable trust layer under
-// fleet-scale sweeps and the parastackd daemon — any torn write,
-// truncation, or single-bit flip in a committed record is detectable
-// by replaying roots and inclusion proofs (Verify, cmd/psverify), and
-// identical cells re-run through the ledger sink are dedup hits
-// instead of re-executions.
+// store of result records, batched into Merkle trees, with a dedup
+// index keyed by result identity (sweep cell keys / campaign
+// fingerprints). It is the durable trust layer under fleet-scale sweeps
+// and the parastackd daemon — any torn write, truncation, or single-bit
+// flip in a committed record is detectable by replaying roots and
+// inclusion proofs (Verify, cmd/psverify), and identical cells re-run
+// through the ledger sink are dedup hits instead of re-executions.
 //
 // The subsystem splits interface-first into two layers:
 //
@@ -18,24 +17,27 @@
 //     and results.Reader, so it drops into the sweep orchestrator and
 //     the detection service anywhere the JSONL log does.
 //
-// Store layout (all values JSON except record blobs, schema
-// "parastack-ledger/v1"; see the EXPERIMENTS.md ledger entry):
+// Store layout (schema "parastack-ledger/v2"; see the EXPERIMENTS.md
+// ledger entry), three blobs per batch:
 //
-//	records/<content-hash>   raw record payload (content-addressed)
-//	batches/<seq, %08d>      batch manifest: root, prev root, entries
-//	index/<key-hash>         per-key entry: batch, leaf, content hash,
-//	                         inclusion proof (last write per key wins)
-//	HEAD                     latest committed (seq, root)
+//	packs/<seq, %08d>    the batch's payloads back to back, each
+//	                     followed by '\n'
+//	batches/<seq, %08d>  batch manifest (JSON): root, prev root, and
+//	                     the entries (key, content hash, length) that
+//	                     cut the pack into records
+//	HEAD                 latest committed (seq, root), JSON
 //
 // Batches chain by root (manifest.Prev is the previous batch's root),
 // so rewriting any committed batch breaks the chain and replacing the
 // tail is evident against an externally noted head root — psverify
-// prints it for exactly that purpose.
+// prints it for exactly that purpose. The per-key index lives only in
+// memory: Open rebuilds it from the manifests, and inclusion proofs are
+// recomputed from a manifest's leaves rather than stored.
 //
-// Commit order is blobs → manifest → index → HEAD. A crash between
-// manifest and HEAD is rolled forward by Open (the manifest holds
-// everything needed to rebuild index entries); a crash before the
-// manifest leaves only unreferenced blobs, which are harmless.
+// Commit order is pack → manifest → HEAD, each one atomic Put. A crash
+// before the manifest leaves an unreferenced pack, which is harmless
+// and overwritten by the next commit of that seq; a crash between
+// manifest and HEAD is rolled forward by Open.
 package ledger
 
 import (
@@ -47,21 +49,19 @@ import (
 	"parastack/internal/results"
 )
 
-// SchemaVersion tags every manifest, index entry, and HEAD blob; Open
-// and Verify reject blobs written by an incompatible schema.
-const SchemaVersion = "parastack-ledger/v1"
+// SchemaVersion tags every manifest and HEAD blob; Open and Verify
+// reject blobs written by an incompatible schema.
+const SchemaVersion = "parastack-ledger/v2"
 
 // Store keys.
 const (
-	headKey      = "HEAD"
-	recordPrefix = "records/"
-	batchPrefix  = "batches/"
-	indexPrefix  = "index/"
+	headKey     = "HEAD"
+	packPrefix  = "packs/"
+	batchPrefix = "batches/"
 )
 
-func recordKey(content [32]byte) string { return recordPrefix + hexHash(content) }
-func batchKey(seq uint64) string        { return fmt.Sprintf("%s%08d", batchPrefix, seq) }
-func indexKey(key string) string        { return indexPrefix + hexHash(contentHash([]byte(key))) }
+func packKey(seq uint64) string  { return fmt.Sprintf("%s%08d", packPrefix, seq) }
+func batchKey(seq uint64) string { return fmt.Sprintf("%s%08d", batchPrefix, seq) }
 
 // manifest is one committed batch: the Merkle root over its entries'
 // content hashes, the previous batch's root (the chain link), and the
@@ -74,22 +74,12 @@ type manifest struct {
 	Entries []manifestEntry `json:"entries"`
 }
 
-// manifestEntry is one leaf of a batch.
+// manifestEntry is one leaf of a batch. Len is the payload's length in
+// the batch's pack, so the manifest alone cuts the pack into records.
 type manifestEntry struct {
 	Key  string `json:"key"`
 	Hash string `json:"hash"`
-}
-
-// indexEntry locates a key's latest record: which batch holds it, at
-// which leaf, under which content hash, with its stored inclusion
-// proof. It is the dedup index and the per-record proof store in one.
-type indexEntry struct {
-	Schema string      `json:"schema"`
-	Key    string      `json:"key"`
-	Seq    uint64      `json:"seq"`
-	Leaf   int         `json:"leaf"`
-	Hash   string      `json:"hash"`
-	Proof  []ProofStep `json:"proof"`
+	Len  int    `json:"len"`
 }
 
 // head is the chain tip.
@@ -97,6 +87,15 @@ type head struct {
 	Schema string `json:"schema"`
 	Seq    uint64 `json:"seq"`
 	Root   string `json:"root"`
+}
+
+// keyState is what the ledger knows about one key: the content hash of
+// its latest payload, committed or in flight (the dedup test), and
+// where its latest committed record lives (seq 0: nothing committed).
+type keyState struct {
+	hash [32]byte
+	seq  uint64
+	leaf int
 }
 
 // Options tunes a Ledger. The zero value selects serviceable defaults.
@@ -156,33 +155,28 @@ type Ledger struct {
 	// the channel, so a late Append can never panic on a closed channel.
 	closeMu sync.RWMutex
 
-	mu      sync.Mutex
-	keys    map[string]string // key → latest content hash (committed + in flight)
-	seq     uint64            // last committed batch
-	root    string            // last committed root (chain tip)
-	stats   Stats
-	err     error // sticky commit failure
-	closed  bool
-	flushed chan struct{} // signaled (replaced) after every commit; Flush waits on it
+	mu     sync.Mutex
+	keys   map[string]keyState
+	seq    uint64 // last committed batch
+	root   string // last committed root (chain tip)
+	stats  Stats
+	err    error // sticky commit failure
+	closed bool
 }
 
-// Open loads (or initializes) the ledger in store: reads HEAD, rolls
-// forward any batch that was fully written but not yet headed (the
-// crash window between manifest and HEAD), loads the key index, and
-// starts the batching committer.
+// Open loads (or initializes) the ledger in store: reads HEAD, rebuilds
+// the key index from manifests 1..seq, rolls forward any batch that was
+// fully written but not yet headed (the crash window between manifest
+// and HEAD), and starts the batching committer. It reads no pack.
 func Open(store Store, opts Options) (*Ledger, error) {
 	opts = opts.withDefaults()
 	l := &Ledger{
-		store:   store,
-		opts:    opts,
-		in:      make(chan pending, opts.Depth),
-		keys:    make(map[string]string),
-		flushed: make(chan struct{}),
+		store: store,
+		opts:  opts,
+		in:    make(chan pending, opts.Depth),
+		keys:  make(map[string]keyState),
 	}
 	if err := l.recover(); err != nil {
-		return nil, err
-	}
-	if err := l.loadIndex(); err != nil {
 		return nil, err
 	}
 	l.wg.Add(1)
@@ -190,7 +184,8 @@ func Open(store Store, opts Options) (*Ledger, error) {
 	return l, nil
 }
 
-// recover reads HEAD and rolls forward committed-but-unheaded batches.
+// recover reads HEAD, indexes every committed manifest, and rolls
+// forward committed-but-unheaded batches.
 func (l *Ledger) recover() error {
 	data, err := l.store.Get(headKey)
 	switch err {
@@ -208,55 +203,44 @@ func (l *Ledger) recover() error {
 	default:
 		return err
 	}
-	// Roll forward: a manifest at seq+1 whose chain link matches the
-	// current tip is a batch that committed fully except for its index
-	// entries and/or HEAD. Rebuild both from the manifest (idempotent).
-	for {
-		data, err := l.store.Get(batchKey(l.seq + 1))
-		if err == ErrNotFound {
-			return nil
-		}
+	// Unreadable manifests are skipped, not fatal: the worst outcome is
+	// a missed dedup (the cell re-runs and re-appends), and Verify — not
+	// Open — is the auditor that flags them.
+	for seq := uint64(1); seq <= l.seq; seq++ {
+		m, err := l.manifestAt(seq)
 		if err != nil {
-			return err
+			continue
 		}
-		var m manifest
-		if json.Unmarshal(data, &m) != nil || m.Schema != SchemaVersion ||
-			m.Seq != l.seq+1 || m.Prev != l.root {
-			// Orphan or torn manifest past the tip: not part of the
+		l.index(m)
+	}
+	// Roll forward: a manifest at seq+1 whose chain link matches the
+	// current tip, over a pack that splits into exactly its entries'
+	// records, is a batch that committed fully except for HEAD.
+	for {
+		m, _, err := l.readBatch(l.seq + 1)
+		if err != nil || m.Prev != l.root {
+			// Absent, torn, or not chained to the tip: not part of the
 			// committed chain. Leave it; the next commit overwrites it.
 			return nil
-		}
-		if err := l.writeIndexEntries(m); err != nil {
-			return err
 		}
 		if err := l.writeHead(m.Seq, m.Root); err != nil {
 			return err
 		}
 		l.seq, l.root = m.Seq, m.Root
+		l.index(m)
 	}
 }
 
-// loadIndex builds the in-memory dedup map from the stored index.
-// Unreadable entries are skipped, not fatal: the worst outcome is a
-// missed dedup (the cell re-runs and re-appends), and Verify — not
-// Open — is the auditor that flags them.
-func (l *Ledger) loadIndex() error {
-	keys, err := l.store.List(indexPrefix)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		data, err := l.store.Get(k)
-		if err != nil {
-			continue
+// index points every key of a committed batch at its leaf. Duplicate
+// keys within a batch resolve last-wins, the rule the JSONL log's resume
+// index applies. Entries whose hash does not parse are skipped (a missed
+// dedup; Verify reports them).
+func (l *Ledger) index(m manifest) {
+	for i, e := range m.Entries {
+		if content, ok := parseHash(e.Hash); ok {
+			l.keys[e.Key] = keyState{hash: content, seq: m.Seq, leaf: i}
 		}
-		var e indexEntry
-		if json.Unmarshal(data, &e) != nil || e.Schema != SchemaVersion || e.Seq > l.seq {
-			continue
-		}
-		l.keys[e.Key] = e.Hash
 	}
-	return nil
 }
 
 // Append implements results.Sink: accept one record for the next
@@ -268,7 +252,6 @@ func (l *Ledger) loadIndex() error {
 // on every subsequent call.
 func (l *Ledger) Append(rec results.Record) error {
 	content := contentHash(rec.Payload)
-	hexContent := hexHash(content)
 
 	l.closeMu.RLock()
 	defer l.closeMu.RUnlock()
@@ -282,12 +265,14 @@ func (l *Ledger) Append(rec results.Record) error {
 		l.mu.Unlock()
 		return err
 	}
-	if l.keys[rec.Key] == hexContent {
+	st, ok := l.keys[rec.Key]
+	if ok && st.hash == content {
 		l.stats.DedupHits++
 		l.mu.Unlock()
 		return nil
 	}
-	l.keys[rec.Key] = hexContent
+	st.hash = content // the committed location stays until this commits
+	l.keys[rec.Key] = st
 	l.stats.Appends++
 	l.mu.Unlock()
 
@@ -306,23 +291,24 @@ func (l *Ledger) Has(key string) bool {
 	return ok
 }
 
-// Get returns the latest committed payload for key. In-flight records
-// (appended, not yet committed) are not visible; call Flush first if
-// read-your-writes matters.
+// Get returns the latest committed payload for key: one manifest and
+// one pack read. In-flight records (appended, not yet committed) are
+// not visible; call Flush first if read-your-writes matters.
 func (l *Ledger) Get(key string) ([]byte, error) {
-	data, err := l.store.Get(indexKey(key))
+	l.mu.Lock()
+	st := l.keys[key]
+	l.mu.Unlock()
+	if st.seq == 0 {
+		return nil, ErrNotFound
+	}
+	_, recs, err := l.readBatch(st.seq)
 	if err != nil {
 		return nil, err
 	}
-	var e indexEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("ledger: corrupt index entry for %q: %w", key, err)
+	if st.leaf >= len(recs) || recs[st.leaf].Key != key {
+		return nil, fmt.Errorf("ledger: batch %d: leaf %d is not key %q", st.seq, st.leaf, key)
 	}
-	content, ok := parseHash(e.Hash)
-	if !ok {
-		return nil, fmt.Errorf("ledger: corrupt index hash for %q", key)
-	}
-	return l.store.Get(recordKey(content))
+	return recs[st.leaf].Payload, nil
 }
 
 // Records implements results.Reader: every committed record in append
@@ -335,31 +321,57 @@ func (l *Ledger) Records() ([]results.Record, error) {
 	l.mu.Unlock()
 	var out []results.Record
 	for seq := uint64(1); seq <= tip; seq++ {
-		m, err := l.manifestAt(seq)
+		_, recs, err := l.readBatch(seq)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range m.Entries {
-			content, ok := parseHash(e.Hash)
-			if !ok {
-				return nil, fmt.Errorf("ledger: batch %d: corrupt hash for key %q", seq, e.Key)
-			}
-			payload, err := l.store.Get(recordKey(content))
-			if err != nil {
-				return nil, fmt.Errorf("ledger: batch %d: record for key %q: %w", seq, e.Key, err)
-			}
-			if contentHash(payload) != content {
-				return nil, fmt.Errorf("ledger: batch %d: record for key %q fails its content hash", seq, e.Key)
-			}
-			out = append(out, results.Record{Key: e.Key, Payload: payload})
-		}
+		out = append(out, recs...)
 	}
 	return out, nil
 }
 
-func (l *Ledger) manifestAt(seq uint64) (manifest, error) {
+// readBatch reads batch seq's manifest and pack, cuts the pack into
+// records — it must hold exactly the entries' lengths, each payload
+// followed by '\n' — and checks each payload against its content hash.
+// Payloads alias the pack, capped so that appending to one cannot
+// overwrite the next.
+func (l *Ledger) readBatch(seq uint64) (manifest, []results.Record, error) {
+	m, err := l.manifestAt(seq)
+	if err != nil {
+		return m, nil, err
+	}
+	pack, err := l.store.Get(packKey(seq))
+	if err != nil {
+		return m, nil, fmt.Errorf("ledger: batch %d: pack: %w", seq, err)
+	}
+	recs := make([]results.Record, len(m.Entries))
+	off := 0
+	for i, e := range m.Entries {
+		if e.Len >= len(pack)-off || pack[off+e.Len] != '\n' {
+			return m, nil, fmt.Errorf("ledger: batch %d: pack does not split at key %q", seq, e.Key)
+		}
+		payload := pack[off : off+e.Len : off+e.Len]
+		off += e.Len + 1
+		if content, ok := parseHash(e.Hash); !ok || contentHash(payload) != content {
+			return m, nil, fmt.Errorf("ledger: batch %d: record for key %q fails its content hash", seq, e.Key)
+		}
+		recs[i] = results.Record{Key: e.Key, Payload: payload}
+	}
+	if off != len(pack) {
+		return m, nil, fmt.Errorf("ledger: batch %d: pack holds %d bytes past its last record", seq, len(pack)-off)
+	}
+	return m, recs, nil
+}
+
+// manifestAt reads and decodes batch seq's manifest.
+func (l *Ledger) manifestAt(seq uint64) (manifest, error) { return readManifest(l.store, seq) }
+
+// readManifest reads and decodes batch seq's manifest, rejecting a
+// foreign schema, a mismatched seq, or a negative entry length. A
+// missing manifest wraps ErrNotFound.
+func readManifest(store Store, seq uint64) (manifest, error) {
 	var m manifest
-	data, err := l.store.Get(batchKey(seq))
+	data, err := store.Get(batchKey(seq))
 	if err != nil {
 		return m, fmt.Errorf("ledger: batch %d: %w", seq, err)
 	}
@@ -368,6 +380,14 @@ func (l *Ledger) manifestAt(seq uint64) (manifest, error) {
 	}
 	if m.Schema != SchemaVersion {
 		return m, fmt.Errorf("ledger: batch %d: schema %q, want %q", seq, m.Schema, SchemaVersion)
+	}
+	if m.Seq != seq {
+		return m, fmt.Errorf("ledger: batch %d: manifest names seq %d", seq, m.Seq)
+	}
+	for _, e := range m.Entries {
+		if e.Len < 0 {
+			return m, fmt.Errorf("ledger: batch %d: negative length for key %q", seq, e.Key)
+		}
 	}
 	return m, nil
 }
@@ -491,10 +511,10 @@ func (l *Ledger) loop() {
 	}
 }
 
-// commit writes one batch: blobs, manifest, index entries, HEAD — in
-// that order, so every crash window is recoverable (see the package
-// comment). A failure is sticky: recorded once, and later batches are
-// dropped rather than committed onto a broken tip.
+// commit writes one batch: pack, manifest, HEAD — in that order, so
+// every crash window is recoverable (see the package comment). A
+// failure is sticky: recorded once, and later batches are dropped
+// rather than committed onto a broken tip.
 func (l *Ledger) commit(batch []pending) {
 	l.mu.Lock()
 	if l.err != nil {
@@ -504,79 +524,43 @@ func (l *Ledger) commit(batch []pending) {
 	seq, prev := l.seq+1, l.root
 	l.mu.Unlock()
 
-	fail := func(err error) {
-		l.mu.Lock()
-		if l.err == nil {
-			l.err = fmt.Errorf("ledger: commit batch %d: %w", seq, err)
-		}
-		l.mu.Unlock()
+	size := 0
+	for _, p := range batch {
+		size += len(p.payload) + 1
 	}
-
-	m := manifest{Schema: SchemaVersion, Seq: seq, Prev: prev}
+	pack := make([]byte, 0, size)
+	m := manifest{Schema: SchemaVersion, Seq: seq, Prev: prev, Entries: make([]manifestEntry, len(batch))}
 	leaves := make([][32]byte, len(batch))
 	for i, p := range batch {
-		if err := l.store.Put(recordKey(p.content), p.payload); err != nil {
-			fail(err)
-			return
-		}
-		m.Entries = append(m.Entries, manifestEntry{Key: p.key, Hash: hexHash(p.content)})
+		pack = append(append(pack, p.payload...), '\n')
+		m.Entries[i] = manifestEntry{Key: p.key, Hash: hexHash(p.content), Len: len(p.payload)}
 		leaves[i] = leafHash(p.content)
 	}
 	m.Root = hexHash(merkleRoot(leaves))
 	data, err := json.Marshal(m)
-	if err != nil {
-		fail(err)
-		return
+	if err == nil {
+		err = l.store.Put(packKey(seq), pack)
 	}
-	if err := l.store.Put(batchKey(seq), data); err != nil {
-		fail(err)
-		return
+	if err == nil {
+		err = l.store.Put(batchKey(seq), data)
 	}
-	if err := l.writeIndexEntries(m); err != nil {
-		fail(err)
-		return
+	if err == nil {
+		err = l.writeHead(seq, m.Root)
 	}
-	if err := l.writeHead(seq, m.Root); err != nil {
-		fail(err)
-		return
-	}
+
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.err = fmt.Errorf("ledger: commit batch %d: %w", seq, err)
+		return
+	}
 	l.seq, l.root = seq, m.Root
 	l.stats.Batches++
-	l.mu.Unlock()
-}
-
-// writeIndexEntries stores one index entry (with inclusion proof) per
-// manifest entry. Duplicate keys within a batch resolve last-wins, the
-// same rule the JSONL log's resume index applies.
-func (l *Ledger) writeIndexEntries(m manifest) error {
-	leaves := make([][32]byte, len(m.Entries))
-	for i, e := range m.Entries {
-		content, ok := parseHash(e.Hash)
-		if !ok {
-			return fmt.Errorf("ledger: batch %d: corrupt entry hash for %q", m.Seq, e.Key)
-		}
-		leaves[i] = leafHash(content)
+	for i, p := range batch {
+		st := l.keys[p.key]
+		st.seq, st.leaf = seq, i
+		l.keys[p.key] = st
 	}
-	// last-wins: walk forward, later writes overwrite earlier ones.
-	for i, e := range m.Entries {
-		entry := indexEntry{
-			Schema: SchemaVersion,
-			Key:    e.Key,
-			Seq:    m.Seq,
-			Leaf:   i,
-			Hash:   e.Hash,
-			Proof:  merkleProof(leaves, i),
-		}
-		data, err := json.Marshal(entry)
-		if err != nil {
-			return err
-		}
-		if err := l.store.Put(indexKey(e.Key), data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (l *Ledger) writeHead(seq uint64, root string) error {

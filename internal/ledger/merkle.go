@@ -10,24 +10,25 @@ import (
 // interior nodes (a leaf hash can never be replayed as a node hash or
 // vice versa):
 //
-//	content  = SHA-256(payload)                  — the blob address
+//	content  = SHA-256(payload)
 //	leaf     = SHA-256(0x00 || content)
 //	node     = SHA-256(0x01 || left || right)
 //
 // An odd node at any level is promoted to the next level unchanged.
 // Building the tree over content hashes rather than payloads means a
 // batch manifest (which lists every entry's content hash) is enough to
-// recompute the root and every inclusion proof without touching the
-// record blobs — verification separates "is the committed set intact"
-// (manifest vs. roots) from "are the blobs intact" (blob vs. content
-// hash).
+// recompute the root and every inclusion proof without reading the
+// pack — verification separates "is the committed set intact"
+// (manifest vs. roots) from "are the records intact" (pack slice vs.
+// content hash).
 
 const (
 	leafPrefix = 0x00
 	nodePrefix = 0x01
 )
 
-// contentHash is the blob address of a payload.
+// contentHash is a payload's identity: the dedup test and the input
+// to its Merkle leaf.
 func contentHash(payload []byte) [32]byte {
 	return sha256.Sum256(payload)
 }
@@ -67,10 +68,16 @@ func merkleRoot(leaves [][32]byte) [32]byte {
 	if len(leaves) == 0 {
 		return [32]byte{}
 	}
-	level := make([][32]byte, len(leaves))
-	copy(level, leaves)
-	for len(level) > 1 {
-		next := level[:0]
+	levels := merkleLevels(leaves)
+	return levels[len(levels)-1][0]
+}
+
+// merkleLevels builds the tree bottom-up: levels[0] is the leaves and
+// the last level holds the root alone.
+func merkleLevels(leaves [][32]byte) [][][32]byte {
+	levels := [][][32]byte{leaves}
+	for level := leaves; len(level) > 1; level = levels[len(levels)-1] {
+		next := make([][32]byte, 0, (len(level)+1)/2)
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
 				next = append(next, nodeHash(level[i], level[i+1]))
@@ -78,9 +85,9 @@ func merkleRoot(leaves [][32]byte) [32]byte {
 				next = append(next, level[i]) // odd node: promote
 			}
 		}
-		level = next
+		levels = append(levels, next)
 	}
-	return level[0]
+	return levels
 }
 
 // merkleProof returns leaf i's inclusion proof: the sibling at every
@@ -89,26 +96,20 @@ func merkleProof(leaves [][32]byte, i int) []ProofStep {
 	if i < 0 || i >= len(leaves) {
 		return nil
 	}
-	level := make([][32]byte, len(leaves))
-	copy(level, leaves)
+	return proofFrom(merkleLevels(leaves), i)
+}
+
+// proofFrom reads leaf i's inclusion proof off a built tree, so a batch
+// audit proves every leaf for the cost of one tree.
+func proofFrom(levels [][][32]byte, i int) []ProofStep {
 	var proof []ProofStep
-	for len(level) > 1 {
-		sib := i ^ 1
-		if sib < len(level) {
+	for _, level := range levels[:len(levels)-1] {
+		if sib := i ^ 1; sib < len(level) {
 			proof = append(proof, ProofStep{
 				Hash: hex.EncodeToString(level[sib][:]),
 				Left: sib < i,
 			})
 		}
-		next := level[:0]
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, nodeHash(level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		level = next
 		i /= 2
 	}
 	return proof
@@ -139,8 +140,8 @@ func verifyProof(leaf [32]byte, proof []ProofStep, root [32]byte) bool {
 func hexHash(h [32]byte) string { return hex.EncodeToString(h[:]) }
 
 // parseHash decodes a hex hash, reporting malformed input instead of
-// panicking (manifest and index files are attacker-controlled as far
-// as verification is concerned).
+// panicking (manifests are attacker-controlled as far as verification
+// is concerned).
 func parseHash(s string) ([32]byte, bool) {
 	var h [32]byte
 	b, err := hex.DecodeString(s)

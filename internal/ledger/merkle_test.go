@@ -124,6 +124,20 @@ func TestParseHash(t *testing.T) {
 	}
 }
 
+// indexEntry is the serialized shape of one record's inclusion proof,
+// as a single-record auditor would be handed it: which batch and leaf,
+// the content hash, and the sibling path. The ledger recomputes proofs
+// from manifests instead of storing them; FuzzProof decodes adversarial
+// bytes into this shape to reach the proof path.
+type indexEntry struct {
+	Schema string      `json:"schema"`
+	Key    string      `json:"key"`
+	Seq    uint64      `json:"seq"`
+	Leaf   int         `json:"leaf"`
+	Hash   string      `json:"hash"`
+	Proof  []ProofStep `json:"proof"`
+}
+
 // FuzzProof pins the no-panic contract of the proof path against
 // adversarial serialized index entries: whatever bytes arrive, parsing
 // and verification must return cleanly. Wired into `make fuzz-smoke`.

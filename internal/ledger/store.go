@@ -15,7 +15,7 @@ import (
 // what an object store offers — so the Merkle/batching/dedup logic
 // above it never knows whether it is talking to memory, a local
 // directory, or (later) S3-alikes. Keys are slash-separated paths of
-// [A-Za-z0-9._-] segments ("records/<hex>", "batches/00000001");
+// [A-Za-z0-9._-] segments ("packs/00000001", "batches/00000001");
 // the Ledger only ever derives them from hashes and sequence numbers,
 // never from user input.
 //
@@ -126,13 +126,14 @@ func (m *MemStore) Corrupt(key string, byteOff int, bit uint) error {
 }
 
 // DirStore is the local-disk Store: one file per key under a root
-// directory, with atomic writes (temp file in the destination
-// directory, fsync, rename). It is what `pssweep -ledger DIR` and
-// `parastackd -ledger DIR` open.
+// directory, with atomic, durable writes (temp file in the destination
+// directory, fsync, rename, fsync of the directory). It is what
+// `pssweep -ledger DIR` and `parastackd -ledger DIR` open.
 type DirStore struct {
 	root string
 
 	mu     sync.Mutex
+	dirs   map[string]bool // directories made (or found) and synced by mkdir
 	closed bool
 }
 
@@ -142,7 +143,7 @@ func OpenDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{root: dir}, nil
+	return &DirStore{root: dir, dirs: make(map[string]bool)}, nil
 }
 
 // path maps a store key onto its file. Keys are ledger-generated
@@ -153,21 +154,16 @@ func (d *DirStore) path(key string) string {
 }
 
 func (d *DirStore) Put(key string, data []byte) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("ledger: dirstore is closed")
-	}
-	d.mu.Unlock()
 	dst := d.path(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	dir := filepath.Dir(dst)
+	if err := d.mkdir(dir); err != nil {
 		return err
 	}
 	// Atomic publish: write + fsync a temp file in the destination
 	// directory, then rename over the final name. A crash leaves either
 	// the old blob or the new one — never a torn file — which is the
 	// contract Open's roll-forward recovery depends on.
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".put-*")
+	tmp, err := os.CreateTemp(dir, ".put-*")
 	if err != nil {
 		return err
 	}
@@ -190,7 +186,45 @@ func (d *DirStore) Put(key string, data []byte) error {
 		os.Remove(tmpName)
 		return err
 	}
+	// The rename is durable only once the directory holding the new
+	// entry is: without this a Put that returned could vanish on power
+	// loss.
+	return syncDir(dir)
+}
+
+// mkdir refuses a closed store and creates dir on its first use,
+// fsyncing its parent so that a new subdirectory's entry is as durable
+// as the blobs put into it. Ledger keys sit at most one level below the
+// root, so one parent covers them.
+func (d *DirStore) mkdir(dir string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return fmt.Errorf("ledger: dirstore is closed")
+	}
+	if d.dirs[dir] {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	d.dirs[dir] = true
 	return nil
+}
+
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (d *DirStore) Get(key string) ([]byte, error) {

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -42,8 +43,8 @@ type VerifyReport struct {
 	Batches int `json:"batches"`
 	Records int `json:"records"`
 	Proofs  int `json:"proofs"`
-	// Orphans counts store blobs past the committed tip (torn tail of
-	// a crashed commit) — tolerated, not failures.
+	// Orphans counts packs and manifests past the committed tip (torn
+	// tail of a crashed commit) — tolerated, not failures.
 	Orphans int `json:"orphans,omitempty"`
 	// Problems is every finding, in (seq, key) order.
 	Problems []Problem `json:"problems,omitempty"`
@@ -54,10 +55,11 @@ func (r *VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
 // Verify replays the whole ledger in store: the batch chain against
 // HEAD, every batch root against its recomputed Merkle tree, every
-// record blob against its content hash, and every stored inclusion
-// proof against its batch root. workers bounds the parallel
-// record-hashing stage (<=0 = GOMAXPROCS). Verification never mutates
-// the store, and a corrupted blob is reported — with its cell key —
+// record's slice of its batch's pack against its content hash, and
+// every record's inclusion proof, recomputed from its manifest's
+// leaves, against its batch root. workers bounds the parallel
+// pack-hashing stage (<=0 = GOMAXPROCS). Verification never mutates
+// the store, and a corrupted record is reported — with its cell key —
 // rather than returned as an error, so one damaged record cannot mask
 // the rest of the audit.
 func Verify(store Store, workers int) (*VerifyReport, error) {
@@ -72,13 +74,18 @@ func Verify(store Store, workers int) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	packs, err := store.List(packPrefix)
+	if err != nil {
+		return nil, err
+	}
 	headData, err := store.Get(headKey)
 	switch {
 	case err == ErrNotFound:
 		if len(batches) > 0 {
 			addProblem(Problem{Reason: "HEAD missing with committed batches present (truncated)"})
 		}
-		return rep, nil // empty ledger: vacuously clean
+		rep.Orphans = len(packs) // a first commit torn before its manifest
+		return rep, nil          // empty ledger: vacuously clean
 	case err != nil:
 		return nil, err
 	}
@@ -91,145 +98,74 @@ func Verify(store Store, workers int) (*VerifyReport, error) {
 
 	// Walk the chain: recompute each batch's root, check linkage.
 	prev := ""
-	type recordCheck struct {
-		key  string
-		seq  uint64
-		hash string
-	}
-	var checks []recordCheck
+	var audits []packAudit
 	for seq := uint64(1); seq <= h.Seq; seq++ {
-		data, err := store.Get(batchKey(seq))
-		if err == ErrNotFound {
-			addProblem(Problem{Seq: seq, Reason: "batch manifest missing (truncated)"})
-			prev = "" // linkage beyond a hole is unverifiable; keep scanning roots
-			continue
-		}
+		m, err := readManifest(store, seq)
 		if err != nil {
-			return nil, err
-		}
-		var m manifest
-		if json.Unmarshal(data, &m) != nil || m.Schema != SchemaVersion || m.Seq != seq {
-			addProblem(Problem{Seq: seq, Reason: "batch manifest corrupt"})
-			prev = ""
+			reason := "batch manifest corrupt or unreadable"
+			if errors.Is(err, ErrNotFound) {
+				reason = "batch manifest missing (truncated)"
+			}
+			addProblem(Problem{Seq: seq, Reason: reason})
+			prev = "" // linkage beyond a hole is unverifiable; keep scanning roots
 			continue
 		}
 		rep.Batches++
 		if prev != "" && m.Prev != prev {
 			addProblem(Problem{Seq: seq, Reason: "chain broken (prev root mismatch)"})
 		}
+		a := packAudit{m: m, content: make([][32]byte, len(m.Entries)), valid: make([]bool, len(m.Entries))}
 		leaves := make([][32]byte, len(m.Entries))
 		ok := true
 		for i, e := range m.Entries {
-			content, valid := parseHash(e.Hash)
-			if !valid {
+			if a.content[i], a.valid[i] = parseHash(e.Hash); !a.valid[i] {
 				addProblem(Problem{Seq: seq, Key: e.Key, Reason: "manifest entry hash corrupt"})
 				ok = false
 				continue
 			}
-			leaves[i] = leafHash(content)
-			checks = append(checks, recordCheck{key: e.Key, seq: seq, hash: e.Hash})
+			leaves[i] = leafHash(a.content[i])
 		}
-		if ok && hexHash(merkleRoot(leaves)) != m.Root {
-			addProblem(Problem{Seq: seq, Reason: "root mismatch (manifest root does not match its entries)"})
+		if ok {
+			levels := merkleLevels(leaves)
+			if top := levels[len(levels)-1]; len(top) == 1 && hexHash(top[0]) == m.Root {
+				a.levels = levels
+			} else {
+				addProblem(Problem{Seq: seq, Reason: "root mismatch (manifest root does not match its entries)"})
+			}
 		}
+		audits = append(audits, a)
 		prev = m.Root
 	}
 	if prev != "" && prev != h.Root {
 		addProblem(Problem{Seq: h.Seq, Reason: "HEAD root does not match last batch"})
 	}
-	for _, b := range batches {
-		var seq uint64
-		if _, err := fmt.Sscanf(b, batchPrefix+"%d", &seq); err == nil && seq > h.Seq {
-			rep.Orphans++
-		}
-	}
+	rep.Orphans = pastTip(batches, batchPrefix, h.Seq) + pastTip(packs, packPrefix, h.Seq)
 
-	// Record blobs: hash every committed payload, in parallel.
+	// Packs: cut and hash every committed batch's records, in parallel.
 	var (
 		mu   sync.Mutex
 		wg   sync.WaitGroup
-		next = make(chan recordCheck)
+		next = make(chan packAudit)
 	)
-	found := make([]Problem, 0)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range next {
-				content, _ := parseHash(c.hash) // validated above
-				payload, err := store.Get(recordKey(content))
-				var p *Problem
-				switch {
-				case err == ErrNotFound:
-					p = &Problem{Key: c.key, Seq: c.seq, Reason: "record missing (truncated)"}
-				case err != nil:
-					p = &Problem{Key: c.key, Seq: c.seq, Reason: "record unreadable: " + err.Error()}
-				case contentHash(payload) != content:
-					p = &Problem{Key: c.key, Seq: c.seq, Reason: "record corrupted (content hash mismatch)"}
-				}
+			for a := range next {
+				records, proofs, found := a.check(store)
 				mu.Lock()
-				rep.Records++
-				if p != nil {
-					found = append(found, *p)
-				}
+				rep.Records += records
+				rep.Proofs += proofs
+				rep.Problems = append(rep.Problems, found...)
 				mu.Unlock()
 			}
 		}()
 	}
-	for _, c := range checks {
-		next <- c
+	for _, a := range audits {
+		next <- a
 	}
 	close(next)
 	wg.Wait()
-	rep.Problems = append(rep.Problems, found...)
-
-	// Index entries: every stored inclusion proof must verify against
-	// its batch's committed root.
-	idxKeys, err := store.List(indexPrefix)
-	if err != nil {
-		return nil, err
-	}
-	roots := make(map[uint64][32]byte)
-	for seq := uint64(1); seq <= h.Seq; seq++ {
-		if data, err := store.Get(batchKey(seq)); err == nil {
-			var m manifest
-			if json.Unmarshal(data, &m) == nil {
-				if r, ok := parseHash(m.Root); ok {
-					roots[seq] = r
-				}
-			}
-		}
-	}
-	for _, ik := range idxKeys {
-		data, err := store.Get(ik)
-		if err != nil {
-			addProblem(Problem{Reason: "index entry unreadable: " + ik})
-			continue
-		}
-		var e indexEntry
-		if json.Unmarshal(data, &e) != nil || e.Schema != SchemaVersion {
-			addProblem(Problem{Reason: "index entry corrupt: " + ik})
-			continue
-		}
-		if e.Seq > h.Seq {
-			rep.Orphans++ // torn tail: index written, HEAD not yet
-			continue
-		}
-		root, ok := roots[e.Seq]
-		if !ok {
-			addProblem(Problem{Key: e.Key, Seq: e.Seq, Reason: "index references missing batch"})
-			continue
-		}
-		content, ok := parseHash(e.Hash)
-		if !ok {
-			addProblem(Problem{Key: e.Key, Seq: e.Seq, Reason: "index entry hash corrupt"})
-			continue
-		}
-		rep.Proofs++
-		if !verifyProof(leafHash(content), e.Proof, root) {
-			addProblem(Problem{Key: e.Key, Seq: e.Seq, Reason: "inclusion proof invalid"})
-		}
-	}
 
 	sort.Slice(rep.Problems, func(a, b int) bool {
 		if rep.Problems[a].Seq != rep.Problems[b].Seq {
@@ -238,4 +174,73 @@ func Verify(store Store, workers int) (*VerifyReport, error) {
 		return rep.Problems[a].Key < rep.Problems[b].Key
 	})
 	return rep, nil
+}
+
+// pastTip counts the keys under prefix whose seq lies past the
+// committed tip: the torn tail of a crashed commit.
+func pastTip(keys []string, prefix string, tip uint64) int {
+	n := 0
+	for _, k := range keys {
+		var seq uint64
+		if _, err := fmt.Sscanf(k, prefix+"%d", &seq); err == nil && seq > tip {
+			n++
+		}
+	}
+	return n
+}
+
+// packAudit is one committed batch as the chain walk left it: its
+// manifest, each entry's content hash and whether it parsed, and the
+// batch's tree when the manifest's root matched its entries (nil
+// otherwise; the batch's proofs then go unchecked, since the root
+// mismatch is already reported).
+type packAudit struct {
+	m       manifest
+	content [][32]byte
+	valid   []bool
+	levels  [][][32]byte
+}
+
+// check reads the batch's pack and hashes each entry's slice against
+// its content hash, localizing damage to the entry whose bytes (or
+// trailing newline) it hit, and checks each entry's inclusion proof.
+func (a packAudit) check(store Store) (records, proofs int, found []Problem) {
+	seq := a.m.Seq
+	pack, err := store.Get(packKey(seq)) // a missing pack cuts off every record
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return 0, 0, []Problem{{Seq: seq, Reason: "pack unreadable: " + err.Error()}}
+	}
+	var root [32]byte
+	if a.levels != nil {
+		root = a.levels[len(a.levels)-1][0]
+	}
+	off := 0 // where entry i's slice starts; past the end once one is cut off
+	for i, e := range a.m.Entries {
+		start, cut := off, e.Len >= len(pack)-off // payload or its '\n' missing
+		if cut {
+			off = len(pack) + 1
+		} else {
+			off += e.Len + 1
+		}
+		if !a.valid[i] {
+			continue // reported by the chain walk
+		}
+		records++
+		switch {
+		case cut:
+			found = append(found, Problem{Key: e.Key, Seq: seq, Reason: "record missing (truncated)"})
+		case pack[start+e.Len] != '\n' || contentHash(pack[start:start+e.Len]) != a.content[i]:
+			found = append(found, Problem{Key: e.Key, Seq: seq, Reason: "record corrupted (content hash mismatch)"})
+		}
+		if a.levels != nil {
+			proofs++
+			if !verifyProof(a.levels[0][i], proofFrom(a.levels, i), root) {
+				found = append(found, Problem{Key: e.Key, Seq: seq, Reason: "inclusion proof invalid"})
+			}
+		}
+	}
+	if off < len(pack) {
+		found = append(found, Problem{Seq: seq, Reason: fmt.Sprintf("pack holds %d bytes past its last record", len(pack)-off)})
+	}
+	return records, proofs, found
 }

@@ -1,40 +1,73 @@
 package ledger
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
+// slot is where one record lives: its batch, and its payload's offset
+// and length in that batch's pack.
+type slot struct {
+	seq      uint64
+	off, len int
+}
+
 // buildLedger commits n records into a fresh MemStore and returns the
-// store plus key→record-blob-key mapping.
-func buildLedger(t *testing.T, n int) (*MemStore, map[string]string) {
+// store plus each key's slot, read back from the manifests.
+func buildLedger(t *testing.T, n int) (*MemStore, map[string]slot) {
 	t.Helper()
 	store := NewMemStore()
 	led, err := Open(store, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		rec := testRecord(i)
-		if err := led.Append(rec); err != nil {
+		if err := led.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
-		blobs[rec.Key] = recordKey(contentHash(rec.Payload))
 	}
 	if err := led.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return store, blobs
+	slots := make(map[string]slot, n)
+	for seq := uint64(1); seq <= led.Seq(); seq++ {
+		m, err := led.manifestAt(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		for _, e := range m.Entries {
+			slots[e.Key] = slot{seq: seq, off: off, len: e.Len}
+			off += e.Len + 1
+		}
+	}
+	if len(slots) != n {
+		t.Fatalf("manifests hold %d keys, want %d", len(slots), n)
+	}
+	return store, slots
 }
 
-// The corruption table: flip one bit of every committed record blob, at
-// several byte offsets and bit positions, and require Verify to flag
-// exactly that record's cell key — damage is localized, never smeared
-// across the audit or silently absorbed.
+// keysOf returns the keys of batch seq, in leaf order.
+func keysOf(slots map[string]slot, seq uint64) []string {
+	var keys []string
+	for k, s := range slots {
+		if s.seq == seq {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(a, b int) bool { return slots[keys[a]].off < slots[keys[b]].off })
+	return keys
+}
+
+// The corruption table: flip one bit of every committed record's slice
+// of its pack, at several byte offsets and bit positions, and require
+// Verify to flag exactly that record's cell key — damage is localized,
+// never smeared across the audit or silently absorbed.
 func TestVerifyLocalizesSingleBitFlips(t *testing.T) {
 	const n = 9 // crosses batch boundaries at BatchSize 4
-	store, blobs := buildLedger(t, n)
+	store, slots := buildLedger(t, n)
 
 	if rep, err := Verify(store, 0); err != nil || !rep.OK() {
 		t.Fatalf("baseline not clean: %v, %v", rep.Problems, err)
@@ -47,19 +80,16 @@ func TestVerifyLocalizesSingleBitFlips(t *testing.T) {
 		{0, 0},  // first byte, low bit
 		{0, 7},  // first byte, high bit
 		{5, 3},  // mid-payload
-		{-1, 0}, // sentinel: last byte (resolved per blob below)
+		{-1, 0}, // sentinel: last byte (resolved per record below)
 	}
-	for key, blobKey := range blobs {
-		data, err := store.Get(blobKey)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for key, s := range slots {
+		pack := packKey(s.seq)
 		for _, f := range flips {
 			off := f.byteOff
 			if off < 0 {
-				off = len(data) - 1
+				off = s.len - 1
 			}
-			if err := store.Corrupt(blobKey, off, f.bit); err != nil {
+			if err := store.Corrupt(pack, s.off+off, f.bit); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := Verify(store, 2)
@@ -82,9 +112,9 @@ func TestVerifyLocalizesSingleBitFlips(t *testing.T) {
 			if !strings.Contains(p.String(), `key="`+key+`"`) {
 				t.Fatalf("Problem.String() %q does not name the cell key", p.String())
 			}
-			// Undo: the same flip restores the blob, so each table row
+			// Undo: the same flip restores the pack, so each table row
 			// tests exactly one damaged bit.
-			if err := store.Corrupt(blobKey, off, f.bit); err != nil {
+			if err := store.Corrupt(pack, s.off+off, f.bit); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -95,31 +125,62 @@ func TestVerifyLocalizesSingleBitFlips(t *testing.T) {
 	}
 }
 
-// A deleted record blob is reported as truncation, still naming the key.
+// A deleted pack is reported as truncation naming every key of its
+// batch; a truncated pack names exactly the keys whose bytes (or
+// trailing newline) it cut off.
 func TestVerifyMissingRecord(t *testing.T) {
-	store, blobs := buildLedger(t, 5)
-	var victim, blobKey string
-	for k, b := range blobs {
-		victim, blobKey = k, b
-		break
-	}
-	store.mu.Lock()
-	delete(store.blobs, blobKey)
-	store.mu.Unlock()
-
-	rep, err := Verify(store, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range rep.Problems {
-		if p.Key == victim && strings.Contains(p.Reason, "missing") {
-			found = true
+	missing := func(t *testing.T, rep *VerifyReport) []string {
+		t.Helper()
+		var keys []string
+		for _, p := range rep.Problems {
+			if !strings.Contains(p.Reason, "missing") || p.Key == "" {
+				t.Fatalf("unexpected problem %v", p)
+			}
+			keys = append(keys, p.Key)
 		}
+		return keys
 	}
-	if !found {
-		t.Fatalf("deleted blob for %q not reported, got %v", victim, rep.Problems)
-	}
+
+	t.Run("deleted pack", func(t *testing.T) {
+		store, slots := buildLedger(t, 5)
+		store.mu.Lock()
+		delete(store.blobs, packKey(1))
+		store.mu.Unlock()
+
+		rep, err := Verify(store, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := keysOf(slots, 1)
+		sort.Strings(want)
+		if got := missing(t, rep); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("deleted pack 1: missing keys %v, want batch 1's %v", got, want)
+		}
+	})
+
+	t.Run("truncated pack", func(t *testing.T) {
+		store, slots := buildLedger(t, 8)
+		keys := keysOf(slots, 2)
+		if len(keys) < 3 {
+			t.Fatalf("batch 2 holds %d keys, need 3", len(keys))
+		}
+		// Cut mid-way through batch 2's second record: it and every
+		// later record of the batch are gone, the first one is intact.
+		cut := slots[keys[1]].off + slots[keys[1]].len/2
+		store.mu.Lock()
+		store.blobs[packKey(2)] = store.blobs[packKey(2)][:cut]
+		store.mu.Unlock()
+
+		rep, err := Verify(store, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]string(nil), keys[1:]...)
+		sort.Strings(want)
+		if got := missing(t, rep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("truncated pack 2: missing keys %v, want %v", got, want)
+		}
+	})
 }
 
 // A corrupted batch manifest is a batch-level problem; a tampered
