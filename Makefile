@@ -62,9 +62,12 @@ bench-scale-smoke:
 # plain fields, ordered only by those switches, so they get the same
 # treatment (a rank body's panic reaching the Runner's caller
 # included); so does the daemon's admission → shard → pool pipeline,
-# which has no timer left to hide an ordering bug behind.
+# which has no timer left to hide an ordering bug behind. The event
+# queue's property tests (random push, take, peek and cancel against a
+# reference model) and the event pool's tests (its size holds across
+# Reset cycles that spawn onto many shards) ride along.
 sim-chain-smoke:
-	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial|Lifecycle|Switch' ./internal/sim
+	$(GO) test -race -count=10 -cpu 1,4 -run 'Chain|Handoff|Serial|Lifecycle|Switch|EventHeap|EventPool' ./internal/sim
 	$(GO) test -race -count=5 ./internal/mpi ./internal/experiment
 	$(GO) test -race -count=5 ./internal/service
 

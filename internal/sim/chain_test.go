@@ -197,8 +197,14 @@ const (
 // dispatch log.
 func runGeneratedProgram(t *testing.T, seed int64, mode int) []chainEntry {
 	t.Helper()
+	return runGeneratedProgramOn(t, NewEngine(seed), seed, mode)
+}
+
+// runGeneratedProgramOn is runGeneratedProgram on e, which must be
+// fresh or Reset with seed.
+func runGeneratedProgramOn(t *testing.T, e *Engine, seed int64, mode int) []chainEntry {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	e := NewEngine(seed)
 	c := &chainRun{e: e, stop: mode == chainStopped}
 	n := 2 + rng.Intn(4)
 	scripts := make([][]chainOp, n)
@@ -317,7 +323,8 @@ func TestChainCanceledClosureDoesNotBounce(t *testing.T) {
 // goroutine that called Run even when a process owned the loop just
 // before, so a panicking closure unwinds Run's caller — and leaves an
 // engine that can still be shut down and, once Reset has cleared the
-// loop's cursor and stepping shard, reused.
+// queue's taken root and the loop's group cursor, reused: it then logs
+// a generated program exactly as a fresh engine does.
 func TestChainClosuresRunOnRunsGoroutine(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 8; i++ {
@@ -337,22 +344,22 @@ func TestChainClosuresRunOnRunsGoroutine(t *testing.T) {
 		e.RunAll()
 		t.Fatal("RunAll returned")
 	}()
-	if e.stepping == nil {
-		t.Fatal("the panicking closure's shard should still be stepping")
+	if !e.taken {
+		t.Fatal("the panicking closure's event should still hold the taken root")
 	}
 	e.group, e.groupAt = &Event{}, 1 // only a panic mid-group leaves a cursor; plant one
-	e.Reset(2)
-	if e.group != nil || e.groupAt != 0 || e.stepping != nil {
-		t.Fatal("Reset left loop state behind")
+	const seed = 2
+	e.Reset(seed)
+	if e.PendingEvents() != 0 || e.taken || e.group != nil || e.groupAt != 0 {
+		t.Fatalf("Reset left loop state behind: %d pending, taken root %v, group cursor %v/%d",
+			e.PendingEvents(), e.taken, e.group != nil, e.groupAt)
 	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("%d live processes after Reset", e.LiveProcs())
 	}
-	ran := false
-	e.SpawnNow("again", func(p *Proc) { p.Sleep(time.Millisecond); ran = true })
-	e.RunAll()
-	if !ran {
-		t.Fatal("engine unusable after a panicking closure")
+	got := runGeneratedProgramOn(t, e, seed, chainRunAll)
+	if want := runGeneratedProgram(t, seed, chainRunAll); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine Reset after a panicking closure logs\n%v\nwant the fresh engine's\n%v", got, want)
 	}
 }
 

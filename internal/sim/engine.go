@@ -3,15 +3,15 @@
 //
 // The engine is the substrate on which the simulated MPI runtime
 // (package mpi), the workload skeletons (package workload), and the
-// ParaStack monitor (package core) execute. The event queue is sharded:
-// shard 0 carries system activity (monitors, detectors, test callbacks)
-// and the MPI world homes each group of ranks on its own shard, so each
-// queue holds a handful of pending events no matter how large the world
-// is. A deterministic min-merge over the shard heads (Engine.heads)
-// yields the total event order — (time, source shard, source sequence).
-// Every golden in the repository was recorded under that order. The
-// shards, the per-shard stamps and the canonical wake stamps stay
-// because they define it, not because anything executes shards apart.
+// ParaStack monitor (package core) execute. There is one event queue,
+// a binary heap on the Engine, and one event pool. Shards are stamp
+// namespaces: shard 0 stamps system activity (monitors, detectors, test
+// callbacks) and the MPI world homes each group of ranks on its own
+// shard, whose counter stamps the events scheduled from it. The heap
+// orders events by (time, source shard, source sequence), and every
+// golden in the repository was recorded under that order; the shards,
+// their stamps and the canonical wake stamps stay because they define
+// it, not because anything executes shards apart.
 //
 // There is one executor, and exactly one simulated process (or event
 // callback) runs at a time, so simulation state needs no locking and
@@ -86,7 +86,7 @@ type Time = time.Duration
 // originating shard's id breaking cross-shard ties, which keeps runs
 // deterministic.
 //
-// Fired events are recycled through per-shard free lists, so an
+// Fired events are recycled through the engine's free list, so an
 // *Event handle is only valid until its event fires: cancel pending
 // events, never handles retained past their firing time (canceling
 // from within the event's own callback is still safe).
@@ -105,13 +105,13 @@ type Event struct {
 	parg any
 
 	// procs, when non-nil, is a group wake: firing dispatches every
-	// process in order with a single heap pop. The slice is owned by the
+	// process in order with a single take. The slice is owned by the
 	// engine from WakeAllAt until the event fires (or is drained by
 	// Reset), at which point it returns to the proc-slice pool.
 	procs []*Proc
 
 	canceled bool
-	index    int // heap index, -1 when popped
+	at       *shard // the shard the event executes on (Engine.ctx while it runs)
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that
@@ -127,7 +127,15 @@ func (ev *Event) When() Time { return ev.when }
 type Engine struct {
 	now    Time
 	shards []*shard
-	heads  []headEntry // min-merge over non-empty, non-active shards
+
+	// The one event queue and its pool (see push, peek, take). taken:
+	// queue[0] is an event already taken, whose slot the next push
+	// reseats; maxDepth is the deepest the queue has been.
+	queue    []queueEntry
+	taken    bool
+	maxDepth int
+	free     []*Event // recycled events
+	slab     []Event  // slab backing for new events (batch allocation)
 
 	rng  *rand.Rand
 	seed int64
@@ -137,16 +145,13 @@ type Engine struct {
 	unwinding bool // Unwind has begun: parks unwind instead of driving
 
 	// Global-loop state (see drive). until bounds the current Run;
-	// stepping is the shard whose popped event is executing (still in
-	// heads, under a stale key); group/groupAt is the cursor through a
-	// popped group wake; next is the process control passes to next
-	// (see handoff).
-	until    Time
-	stepping *shard
-	group    *Event
-	groupAt  int
-	next     *Proc
-	rests    uint64 // times a process left the loop at rest to Run's goroutine (pinned by tests)
+	// group/groupAt is the cursor through a taken group wake; next is
+	// the process control passes to next (see handoff).
+	until   Time
+	group   *Event
+	groupAt int
+	next    *Proc
+	rests   uint64 // times a process left the loop at rest to Run's goroutine (pinned by tests)
 
 	// ctx is the shard whose event (or setup code) is currently
 	// executing; engine-level scheduling APIs (At, After, Spawn, WakeAt)
@@ -166,11 +171,16 @@ type Engine struct {
 	coros      *coroPool
 	procSlices map[int][][]*Proc
 
-	// Observability (see SetRecorder). rec is never nil.
+	// Observability (see SetRecorder). rec is never nil. The tallies are
+	// folded into the recorder by syncObs; the synced copies are what it
+	// has folded in already.
 	rec          obs.Recorder
 	traceProcs   bool
 	depthEvented int
-	// synced copies of the tallies already folded into the recorder.
+	fired        uint64 // events fired
+	sleeps       uint64
+	spawns       uint64
+	exits        uint64
 	eventsSynced uint64
 	sleepsSynced uint64
 	spawnsSynced uint64
@@ -193,10 +203,10 @@ func NewEngine(seed int64) *Engine {
 }
 
 // shardFor returns shard id, growing the shard table as needed. Shards
-// persist across Reset so their free lists stay warm for the next run.
+// persist across Reset, which zeroes their stamps.
 func (e *Engine) shardFor(id int32) *shard {
 	for int(id) >= len(e.shards) {
-		e.shards = append(e.shards, &shard{id: int32(len(e.shards)), eng: e, pos: -1})
+		e.shards = append(e.shards, &shard{id: int32(len(e.shards))})
 	}
 	return e.shards[id]
 }
@@ -247,16 +257,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // derive per-rank and keyed streams from it.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// EventsFired reports how many events have executed so far, summed
-// over shards. Each process a group wake dispatches counts as one
-// event, exactly as if it had been woken on its own.
-func (e *Engine) EventsFired() uint64 {
-	var n uint64
-	for _, s := range e.shards {
-		n += s.fired
-	}
-	return n
-}
+// EventsFired reports how many events have executed so far. Each
+// process a group wake dispatches counts as one event, exactly as if it
+// had been woken on its own.
+func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Procs returns all processes ever spawned on the engine, in spawn order.
 func (e *Engine) Procs() []*Proc { return e.procs }
@@ -265,84 +269,58 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // terminated.
 func (e *Engine) LiveProcs() int { return e.liveProcs }
 
-// scheduleLocal allocates an event on shard s with s's own counter
-// stamp and pushes it. The caller must be executing on s (its
-// dispatched process, or setup code with ctx == s).
+// schedule allocates an event stamped (src, seq) to execute at t on
+// shard at, and pushes it.
+func (e *Engine) schedule(at *shard, t Time, src int32, seq uint64) *Event {
+	ev := e.alloc()
+	ev.when = t
+	ev.src = src
+	ev.seq = seq
+	ev.at = at
+	e.push(ev)
+	return ev
+}
+
+// scheduleLocal schedules an event on shard s with s's own counter
+// stamp. The caller must be executing on s (its dispatched process, or
+// setup code with ctx == s).
 func (e *Engine) scheduleLocal(s *shard, t Time) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before shard %d time %v", t, s.id, s.now))
 	}
-	ev := s.alloc()
-	ev.when = t
-	ev.src = s.id
-	ev.seq = s.seq
-	s.seq++
-	e.push(s, ev)
-	return ev
+	return e.schedule(s, t, s.id, s.stamp())
 }
 
-// schedulePost allocates an event stamped by src's shard counter and
-// pushes it onto dst's shard: the deterministic cross-shard post behind
-// message deliveries.
+// schedulePost schedules an event on dst's shard stamped by src's shard
+// counter: the deterministic cross-shard post behind message
+// deliveries.
 func (e *Engine) schedulePost(src, dst *shard, t Time) *Event {
 	if src == dst {
 		return e.scheduleLocal(src, t)
 	}
-	ev := src.alloc()
-	ev.when = t
-	ev.src = src.id
-	ev.seq = src.seq
-	src.seq++
-	e.pushRemote(dst, ev)
-	return ev
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	return e.schedule(dst, t, src.id, src.stamp())
 }
 
-// scheduleWake allocates a canonical wake event for p: stamped with
-// p's home shard and p's shard-local id rather than the waker's
-// counter. Which process performs a cross-shard wake (say, the last
-// rank to reach a collective) is an accident of dispatch; the canonical
-// stamp makes the wake's queue position a function of the woken process
-// alone. The event comes from p's own shard's pool — the one its firing
-// recycles it into, so neither pool drains into the other.
+// scheduleWake schedules a canonical wake event for p: stamped with p's
+// home shard and p's shard-local id rather than the waker's counter.
+// Which process performs a cross-shard wake (say, the last rank to
+// reach a collective) is an accident of dispatch; the canonical stamp
+// makes the wake's queue position a function of the woken process
+// alone.
 func (e *Engine) scheduleWake(src *shard, p *Proc, t Time) *Event {
 	s := p.shard
-	ev := s.alloc()
-	ev.when = t
-	ev.src = s.id
-	ev.seq = wakeSeqBit | p.localID
-	ev.proc = p
-	if s != src {
-		e.pushRemote(s, ev)
-		return ev
+	if s != src && t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if t < s.now {
+	if s == src && t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before shard %d time %v", t, s.id, s.now))
 	}
-	e.push(s, ev)
+	ev := e.schedule(s, t, s.id, wakeSeqBit|p.localID)
+	ev.proc = p
 	return ev
-}
-
-// pushRemote inserts an event stamped elsewhere into target's queue.
-func (e *Engine) pushRemote(target *shard, ev *Event) {
-	if ev.when < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.when, e.now))
-	}
-	e.push(target, ev)
-}
-
-// push inserts a stamped event into s's queue, keeps the merge heap in
-// step, and records depth bookkeeping (a structured queue_depth event
-// each time the maximum roughly doubles).
-func (e *Engine) push(s *shard, ev *Event) {
-	s.queue.push(ev)
-	e.onHeadChanged(s, ev)
-	if n := len(s.queue); n > s.maxDepth {
-		s.maxDepth = n
-		if e.rec.Enabled() && n >= 2*e.depthEvented {
-			e.depthEvented = n
-			e.rec.Event(e.now, EvQueueDepth, obs.Int("depth", int64(n)))
-		}
-	}
 }
 
 // GetProcSlice returns an empty process slice with at least the given
@@ -428,55 +406,34 @@ func (e *Engine) scheduleCtx(t Time) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	s := e.ctx
-	ev := s.alloc()
-	ev.when = t
-	ev.src = s.id
-	ev.seq = s.seq
-	s.seq++
-	e.push(s, ev)
-	return ev
+	return e.schedule(s, t, s.id, s.stamp())
 }
 
-// MaxQueueDepth reports the largest per-shard event-queue length seen
-// so far (the deepest any single shard's queue has been).
-func (e *Engine) MaxQueueDepth() int {
-	max := 0
-	for _, s := range e.shards {
-		if s.maxDepth > max {
-			max = s.maxDepth
-		}
-	}
-	return max
-}
+// MaxQueueDepth reports the most events the engine's one queue has held
+// at once so far: pending events of every shard together.
+func (e *Engine) MaxQueueDepth() int { return e.maxDepth }
 
 // syncObs folds engine-side tallies into the recorder; called when a
 // Run slice finishes (and after Shutdown) so hot loops stay free of
 // per-event recorder work.
 func (e *Engine) syncObs() {
-	var fired, sleeps, spawns, exits uint64
-	for _, s := range e.shards {
-		fired += s.fired
-		sleeps += s.sleeps
-		spawns += s.spawns
-		exits += s.exits
-	}
-	if d := fired - e.eventsSynced; d > 0 {
-		e.eventsSynced = fired
+	if d := e.fired - e.eventsSynced; d > 0 {
+		e.eventsSynced = e.fired
 		e.rec.Count(CtrEvents, int64(d))
 	}
-	if d := sleeps - e.sleepsSynced; d > 0 {
-		e.sleepsSynced = sleeps
+	if d := e.sleeps - e.sleepsSynced; d > 0 {
+		e.sleepsSynced = e.sleeps
 		e.rec.Count(CtrSleeps, int64(d))
 	}
-	if d := spawns - e.spawnsSynced; d > 0 {
-		e.spawnsSynced = spawns
+	if d := e.spawns - e.spawnsSynced; d > 0 {
+		e.spawnsSynced = e.spawns
 		e.rec.Count(CtrSpawns, int64(d))
 	}
-	if d := exits - e.exitsSynced; d > 0 {
-		e.exitsSynced = exits
+	if d := e.exits - e.exitsSynced; d > 0 {
+		e.exitsSynced = e.exits
 		e.rec.Count(CtrProcExits, int64(d))
 	}
-	e.rec.Gauge(GaugeQueueDepthMax, float64(e.MaxQueueDepth()))
+	e.rec.Gauge(GaugeQueueDepthMax, float64(e.maxDepth))
 }
 
 // After schedules fn to run d from now (see At for context rules).
@@ -549,7 +506,7 @@ func (e *Engine) successor() *coro {
 
 // drive continues the global event loop on the calling goroutine:
 // Run's (self == nil) or the coroutine of the process which just parked
-// or exited (self). Whoever parks drives — it pops the earliest event
+// or exited (self). Whoever parks drives — it takes the earliest event
 // in the system and runs payload callbacks inline, hands control to the
 // next dispatched process (see handoff: no switch when that is self, a
 // switch straight to it otherwise), and where the loop needs Run's
@@ -558,38 +515,26 @@ func (e *Engine) successor() *coro {
 // process switches to Run's goroutine.
 //
 // Closure events (At/After) run on Run's goroutine only, so a
-// panicking closure unwinds Run's caller rather than a process. The
-// popped shard stays in the merge heap under its stale key (active)
-// while its event executes and is re-keyed once, by whoever drives
-// next. A group wake is a cursor on the engine, so every waiter of a
-// popped group is dispatched, in slice order, before anything else is
+// panicking closure unwinds Run's caller rather than a process. A
+// group wake is a cursor on the engine, so every waiter of a taken
+// group is dispatched, in slice order, before anything else is
 // considered — Stop included.
 func (e *Engine) drive(self *Proc) loopAction {
 	for {
 		if g := e.group; g != nil {
-			s, q, t := e.ctx, g.procs[e.groupAt], g.when
+			q, t := g.procs[e.groupAt], g.when
 			e.groupAt++
-			s.fired++
+			e.fired++
 			if e.groupAt == len(g.procs) {
 				e.group = nil
-				s.recycle(g)
+				e.recycle(g)
 			}
 			return e.handoff(q, self, t)
 		}
-		if s := e.stepping; s != nil {
-			e.stepping = nil
-			s.active = false
-			if len(s.queue) == 0 {
-				e.headsRemove(s)
-			} else {
-				e.headsFix(s)
-			}
-		}
-		if e.stopped || len(e.heads) == 0 {
+		ev := e.peek()
+		if e.stopped || ev == nil {
 			return rest(self)
 		}
-		s := e.heads[0].s
-		ev := s.queue[0]
 		if e.until > 0 && ev.when > e.until {
 			e.now = e.until
 			return rest(self)
@@ -597,16 +542,15 @@ func (e *Engine) drive(self *Proc) loopAction {
 		if self != nil && ev.fn != nil && !ev.canceled {
 			return rest(self) // a canceled closure is anyone's to skip
 		}
-		s.queue.popMin()
-		s.active = true
-		e.stepping = s
+		e.take()
 		if ev.canceled {
-			s.recycle(ev)
+			e.recycle(ev)
 			continue
 		}
 		if ev.when > e.now {
 			e.now = ev.when
 		}
+		s := ev.at
 		s.now = ev.when
 		e.ctx = s
 		switch {
@@ -614,24 +558,23 @@ func (e *Engine) drive(self *Proc) loopAction {
 			// Recycled before the handoff: afterwards the event, like
 			// everything else, belongs to the dispatched process.
 			q, t := ev.proc, ev.when
-			s.fired++
-			s.recycle(ev)
+			e.fired++
+			e.recycle(ev)
 			return e.handoff(q, self, t)
 		case ev.procs != nil:
-			// One heap pop releases the whole waiter list; each dispatch
-			// counts as a fired event, like the per-waiter wakes it stands
-			// for.
+			// One take releases the whole waiter list; each dispatch counts
+			// as a fired event, like the per-waiter wakes it stands for.
 			e.group, e.groupAt = ev, 0
 		case ev.pfn != nil:
-			s.fired++
+			e.fired++
 			ev.pfn(ev.when, ev.parg)
-			s.recycle(ev)
+			e.recycle(ev)
 		default:
-			s.fired++
+			e.fired++
 			ev.fn()
 			// Callback events are recycled only after the callback returns,
 			// so a Cancel from within it stays a safe no-op.
-			s.recycle(ev)
+			e.recycle(ev)
 		}
 	}
 }
@@ -649,13 +592,12 @@ func rest(self *Proc) loopAction {
 func (e *Engine) RunAll() Time { return e.Run(0) }
 
 // PendingEvents reports the number of queued (possibly canceled)
-// events across all shards.
+// events.
 func (e *Engine) PendingEvents() int {
-	n := 0
-	for _, s := range e.shards {
-		n += len(s.queue)
+	if e.taken {
+		return len(e.queue) - 1
 	}
-	return n
+	return len(e.queue)
 }
 
 // Unwind terminates every live simulated process: each body unwinds
@@ -697,7 +639,7 @@ func (e *Engine) Shutdown() {
 
 // Reset returns the engine to its just-constructed state with a fresh
 // random stream seeded with seed, while retaining every warm structure
-// (shards, event free lists, processes and their coroutines, group-wake
+// (shards, the event pool, processes and their coroutines, group-wake
 // slices). A reset engine is indistinguishable from NewEngine(seed) to
 // the simulation — virtual time, event sequence numbers, the random
 // stream, and all counters restart from zero — which is what lets
@@ -709,11 +651,16 @@ func (e *Engine) Reset(seed int64) {
 		panic("sim: Reset while running")
 	}
 	e.Unwind()
-	for _, s := range e.shards {
-		s.reset()
+	for ev := e.peek(); ev != nil; ev = e.peek() {
+		e.take()
+		e.recycle(ev)
 	}
-	e.heads = e.heads[:0]
-	e.stepping, e.group, e.groupAt = nil, nil, 0
+	for _, s := range e.shards {
+		*s = shard{id: s.id}
+	}
+	e.group, e.groupAt = nil, 0
+	e.maxDepth = 0
+	e.fired, e.sleeps, e.spawns, e.exits = 0, 0, 0, 0
 	for i, p := range e.procs {
 		// All processes are Done after Unwind and their coroutines idle,
 		// so the structs (and coroutines) are reusable.

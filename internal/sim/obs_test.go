@@ -80,7 +80,8 @@ func TestTraceProcsGate(t *testing.T) {
 }
 
 // The queue-depth gauge tracks MaxQueueDepth, and depth milestone
-// events are emitted sparsely (on ~2x growth), not per event.
+// events are emitted sparsely (on ~2x growth), not per event. The depth
+// is the one queue's: closures stamped by several shards add up.
 func TestQueueDepthObservability(t *testing.T) {
 	eng := NewEngine(1)
 	sink := obs.NewMemSink()
@@ -105,6 +106,22 @@ func TestQueueDepthObservability(t *testing.T) {
 	}
 	if depth > 10 { // 2x milestones: ~log2(100) ≈ 7 events
 		t.Errorf("queue_depth events = %d, want sparse (≤10)", depth)
+	}
+
+	// Three processes, each on its own shard, schedule m closures apiece
+	// before any fires.
+	eng = NewEngine(1)
+	const m = 10
+	for sh := 1; sh <= 3; sh++ {
+		eng.SpawnOn(sh, "scheduler", 0, func(p *Proc) {
+			for i := 0; i < m; i++ {
+				eng.At(time.Millisecond+time.Duration(i), func() {})
+			}
+		})
+	}
+	eng.RunAll()
+	if got := eng.MaxQueueDepth(); got != 3*m {
+		t.Errorf("MaxQueueDepth with closures on three shards = %d, want their total %d", got, 3*m)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestEventPoolRecyclesCanceled(t *testing.T) {
 		e.At(time.Millisecond, func() { t.Error("canceled event fired") }).Cancel()
 	}
 	e.RunAll()
-	if got := len(e.shards[0].free); got != 10 {
+	if got := len(e.free); got != 10 {
 		t.Fatalf("free list has %d events after draining canceled queue, want 10", got)
 	}
 	// Rescheduling must reuse them rather than allocating.

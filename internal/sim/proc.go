@@ -52,7 +52,7 @@ func (s ProcState) String() string {
 // own body.
 //
 // Every process is homed on one shard: its sleep wakes and spawned
-// events are stamped by that shard and live in its queue, and its
+// events are stamped by that shard and execute on it, and its
 // shard-local id is its canonical wake stamp.
 type Proc struct {
 	ID   int
@@ -115,7 +115,7 @@ func (e *Engine) newProc(name string, s *shard) *Proc {
 	e.liveProcs++
 	p.localID = s.procSeq
 	s.procSeq++
-	s.spawns++
+	e.spawns++
 	return p
 }
 
@@ -222,7 +222,7 @@ func (p *Proc) exit() {
 	r := recover()
 	e := p.eng
 	p.state = ProcDone
-	p.shard.exits++
+	e.exits++
 	e.liveProcs--
 	if e.rec.Enabled() {
 		e.rec.Event(e.now, EvProcStop, obs.Int("proc", int64(p.ID)), obs.Str("name", p.Name))
@@ -480,13 +480,12 @@ func (p *Proc) SleepUntil(t Time) {
 }
 
 func (p *Proc) sleepTo(t Time) {
-	s := p.shard
 	e := p.eng
-	s.sleeps++
+	e.sleeps++
 	if e.traceProcs && e.rec.Enabled() {
 		e.rec.Event(e.now, EvProcSleep, obs.Int("proc", int64(p.ID)), obs.Dur("dur_us", t-p.now))
 	}
-	ev := e.scheduleLocal(s, t)
+	ev := e.scheduleLocal(p.shard, t)
 	ev.proc = p
 	p.wake = ev
 	p.park(ProcSleeping)

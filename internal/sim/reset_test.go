@@ -181,3 +181,45 @@ func TestResetReusesProcStructs(t *testing.T) {
 	}
 	e.RunAll()
 }
+
+// TestEventPoolSteadyAcrossShardedCycles: a reused engine's event pool
+// holds a fixed size across Reset → SpawnOn → RunAll cycles, the shape
+// of every reused campaign runner. Each process is spawned from the
+// setup context onto its own shard, so its start event is stamped by
+// shard 0 and fires on the process's shard, and deliveries cross shards
+// around a ring; a pool per shard drifts with such traffic, and one
+// that fills and drains on different shards grows every cycle. The one
+// pool must come back to the same size, and a steady cycle must
+// allocate nothing.
+func TestEventPoolSteadyAcrossShardedCycles(t *testing.T) {
+	const n = 64
+	e := NewEngine(1)
+	procs := make([]*Proc, n)
+	deliver := func(Time, any) {}
+	body := func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Microsecond)
+			p.Post(procs[(p.ID+1)%n], p.Now()+time.Microsecond, deliver, nil)
+		}
+	}
+	cycle := func() {
+		e.Reset(1)
+		for i := range procs {
+			procs[i] = e.SpawnOn(1+i, "rank", 0, body)
+		}
+		e.RunAll()
+	}
+	cycle()
+	cycle()
+	second := len(e.free)
+	for c := 3; c <= 100; c++ {
+		cycle()
+	}
+	if got := len(e.free); got != second {
+		t.Errorf("pooled events: %d after cycle 2, %d after cycle 100", second, got)
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("a steady cycle allocates %v objects, want 0", allocs)
+	}
+	e.Shutdown()
+}
