@@ -91,15 +91,18 @@ sweep-smoke:
 # (arbitrary serialized snapshots must never panic Analyze or accuse an
 # unobserved rank), of the admission-journal replay (corrupted or
 # torn journals must never panic ReplayJournal or double-admit a job),
-# and of the model's maintained sorted window (after any Add/Halve
-# sequence it must equal the sorted history and fit bit-identically to
-# a rebuild). Fixed seed corpus + 5s of mutation each.
+# of the model's maintained window (after any Add/Halve sequence it
+# must equal the sorted history and fit bit-identically to a rebuild),
+# and of the ECDF's counted distinct values (after any Insert/Replace/
+# Reset sequence every query must answer as a plain sorted slice does).
+# Fixed seed corpus + 5s of mutation each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=5s ./internal/sweep
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=5s ./internal/diagnose/waitfor
 	$(GO) test -run='^$$' -fuzz=FuzzProof -fuzztime=5s ./internal/ledger
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzModelIncremental -fuzztime=5s ./internal/model
+	$(GO) test -run='^$$' -fuzz=FuzzECDF -fuzztime=5s ./internal/stats
 
 # Chaos smoke: a short clean campaign under the aggressive "heavy"
 # chaos profile, under the race detector, asserting zero false

@@ -204,44 +204,81 @@ func TestAddRejectsNaN(t *testing.T) {
 	New(4).Add(math.NaN())
 }
 
-// The refit-per-sample hot path must not allocate: both buffers are
-// sized once in New, and Fit reads the maintained window.
+// The refit-per-sample hot path must not allocate: the arrival-order
+// buffer is sized once, the window stops growing once the number of
+// distinct values has peaked, and Fit reads the maintained window.
+// With no repeats that peak is the full window, reached when the
+// window has cycled once.
 func TestAddFitZeroAllocs(t *testing.T) {
-	m := New(1024)
-	n := 0
-	addFit := func() {
-		m.Add(float64(1+n%7) / 8)
-		m.Fit()
-		n++
+	shapes := []struct {
+		name string
+		gen  func(n int) float64
+	}{
+		{"7 levels", func(n int) float64 { return float64(1+n%7) / 8 }},
+		{"all distinct", func(n int) float64 { return float64(n%4099) / 4099 }},
 	}
-	for n < 3*1024 {
-		addFit()
-	}
-	if avg := testing.AllocsPerRun(2000, addFit); avg != 0 {
-		t.Fatalf("Add+Fit allocates %v times per sample at a full window, want 0", avg)
+	for _, sh := range shapes {
+		m := New(1024)
+		n := 0
+		addFit := func() {
+			m.Add(sh.gen(n))
+			m.Fit()
+			n++
+		}
+		for n < 3*1024 {
+			addFit()
+		}
+		if avg := testing.AllocsPerRun(2000, addFit); avg != 0 {
+			t.Fatalf("%s: Add+Fit allocates %v times per sample at a full window, want 0", sh.name, avg)
+		}
 	}
 }
 
-// BenchmarkAddFit shows how the per-sample cost depends on the window:
-// two binary searches and a memmove of the values between the evicted
-// and the new one (about a third of the window) grow far slower than a
-// re-sort would. 64 is not the cheapest: below 87 samples the finest
-// tolerance level is not justified and Fit walks further down the
-// ladder.
+// addFitShapes are BenchmarkAddFit's inputs. Scrout from C sampled
+// processes takes C+1 levels: 7, 11 and 33 are the benchmark feed's,
+// the paper's C = 10 and a wider sample; 1500 levels (C ≳ 1000) and
+// continuous values are the regimes where distinct values are many.
+var addFitShapes = []struct {
+	name string
+	gen  func(*rand.Rand) float64
+}{
+	{"levels=7", func(r *rand.Rand) float64 { return float64(r.Intn(7)) / 6 }},
+	{"levels=11", func(r *rand.Rand) float64 { return float64(r.Intn(11)) / 10 }},
+	{"levels=33", func(r *rand.Rand) float64 { return float64(r.Intn(33)) / 32 }},
+	{"levels=1500", func(r *rand.Rand) float64 { return float64(r.Intn(1500)) / 1499 }},
+	{"distinct", func(r *rand.Rand) float64 { return r.Float64() }},
+}
+
+// BenchmarkAddFit shows how the per-sample cost depends on the input's
+// shape and the window size. At capacity Add makes two searches over
+// the distinct values and then touches only the entries between
+// the evicted value and the new one: a few counts when values repeat,
+// whatever the window size, and one memmove of the values in between
+// when none repeat. 64 is not the cheapest window: below 87 samples the
+// finest tolerance level is not justified and Fit walks further down
+// the ladder.
 func BenchmarkAddFit(b *testing.B) {
-	for _, size := range []int{64, 1024, 8192} {
-		b.Run(fmt.Sprint(size), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			m := New(size)
-			for i := 0; i < 2*size; i++ {
-				m.Add(float64(rng.Intn(33)) / 32)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Add(float64(rng.Intn(33)) / 32)
-				m.Fit()
-			}
-		})
+	for _, sh := range addFitShapes {
+		for _, size := range []int{64, 1024, 8192} {
+			b.Run(fmt.Sprintf("%s/%d", sh.name, size), func(b *testing.B) {
+				// The input is drawn ahead of time, so that the loop
+				// times Add and Fit and not the generator.
+				rng := rand.New(rand.NewSource(1))
+				in := make([]float64, 1<<16)
+				for i := range in {
+					in[i] = sh.gen(rng)
+				}
+				m := New(size)
+				for i := 0; i < 2*size; i++ {
+					m.Add(in[i%len(in)])
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Add(in[i%len(in)])
+					m.Fit()
+				}
+			})
+		}
 	}
 }

@@ -51,9 +51,9 @@ const pMaxCandidate = 0.75
 // not usable; call New.
 //
 // It keeps the history twice: in arrival order (samples, for eviction,
-// Halve, Recent and snapshots) and sorted (window, for Fit). Add keeps
-// both current, so refitting on every sample — the monitor's
-// steady-state hot path — neither sorts nor allocates.
+// Halve, Recent and snapshots) and as counted distinct values (window,
+// for Fit). Add keeps both current, so refitting on every sample — the
+// monitor's steady-state hot path — neither sorts nor allocates.
 type Model struct {
 	// samples is the arrival-order history, a view that slides through
 	// buf: evicting the oldest sample advances the view by one, and
@@ -63,7 +63,8 @@ type Model struct {
 	buf     []float64 // 2*maxN
 	maxN    int
 
-	// window is the same multiset as samples, always sorted.
+	// window is the same multiset as samples: its distinct values,
+	// sorted, with cumulative counts.
 	window stats.ECDF
 
 	// fit memoises the last Fit. It read nothing above fitBound — the
@@ -76,8 +77,10 @@ type Model struct {
 }
 
 // New returns a model retaining at most maxHistory samples (oldest
-// evicted first). maxHistory <= 0 selects the default of 1024. Both
-// buffers are sized once, when the first sample arrives.
+// evicted first). maxHistory <= 0 selects the default of 1024. The
+// arrival-order buffer is sized once, when the first sample arrives;
+// the window grows to the most distinct values it has held at once,
+// which for Scrout is a few dozen, not maxHistory.
 func New(maxHistory int) *Model {
 	if maxHistory <= 0 {
 		maxHistory = 1024
@@ -85,11 +88,10 @@ func New(maxHistory int) *Model {
 	return &Model{maxN: maxHistory}
 }
 
-// grow sizes both buffers for maxN samples.
+// grow sizes the arrival-order buffer for maxN samples.
 func (m *Model) grow() {
 	m.buf = make([]float64, 2*m.maxN)
 	m.samples = m.buf[:0]
-	m.window.Grow(m.maxN)
 }
 
 // Reset empties the model and keeps its buffers, so a campaign can hand

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,7 +223,14 @@ func TestFitInvariants(t *testing.T) {
 			}
 		}
 		p := float64(count) / float64(m.N())
-		return math.Abs(p-fit.P) < 1e-9 && fit.Q <= QMax && fit.Q > fit.P-1e-9
+		if math.Abs(p-fit.P) >= 1e-9 {
+			return false
+		}
+		// E is a rung of the ladder, and Q is exactly P+E capped at QMax.
+		if !slices.Contains(ToleranceLevels, fit.E) {
+			return false
+		}
+		return fit.Q == math.Min(fit.P+fit.E, QMax)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

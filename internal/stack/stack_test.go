@@ -27,6 +27,49 @@ func TestIsMPIFrame(t *testing.T) {
 	}
 }
 
+// Every MPI function name the simulator pushes, plus the rest of the
+// polling set, with the classification the transient-slowdown filter
+// reads: all are MPI frames, and exactly MPI_Iprobe and the MPI_Test
+// family are busy-wait polling.
+func TestMPIFunctionClassification(t *testing.T) {
+	cases := []struct {
+		name    string
+		polling bool
+	}{
+		{"MPI_Allgather", false},
+		{"MPI_Allreduce", false},
+		{"MPI_Alltoall", false},
+		{"MPI_Barrier", false},
+		{"MPI_Bcast", false},
+		{"MPI_Gather", false},
+		{"MPI_Irecv", false},
+		{"MPI_Isend", false},
+		{"MPI_Probe", false},
+		{"MPI_Recv", false},
+		{"MPI_Reduce", false},
+		{"MPI_Scatter", false},
+		{"MPI_Send", false},
+		{"MPI_Sendrecv", false},
+		{"MPI_Ssend", false},
+		{"MPI_Wait", false},
+		{"MPI_Waitall", false},
+		{"MPI_Waitany", false},
+		{"MPI_Iprobe", true},
+		{"MPI_Test", true},
+		{"MPI_Testall", true},
+		{"MPI_Testany", true},
+		{"MPI_Testsome", true},
+	}
+	for _, c := range cases {
+		if !IsMPIFrame(c.name) {
+			t.Errorf("IsMPIFrame(%q) = false, want true", c.name)
+		}
+		if got := IsPollingFunc(c.name); got != c.polling {
+			t.Errorf("IsPollingFunc(%q) = %v, want %v", c.name, got, c.polling)
+		}
+	}
+}
+
 func TestStateInference(t *testing.T) {
 	s := New("main", "solver")
 	if s.State() != OutMPI {
@@ -155,6 +198,31 @@ func TestCompareTracesSlowdownDifferentMPI(t *testing.T) {
 	b := s.Observe()
 	if CompareTraces(a, b) != SlowProgress {
 		t.Fatal("different MPI functions must be SlowProgress")
+	}
+}
+
+// Rule 1 exempts only a move between two polling functions. A move
+// between a polling and a non-polling function is SlowProgress in
+// either direction, even when the non-poll entry count is unchanged
+// (the traces are built by hand, so only TopMPI differs).
+func TestCompareTracesPollBoundary(t *testing.T) {
+	cases := []struct {
+		from, to string
+		want     ProgressKind
+	}{
+		{"MPI_Allreduce", "MPI_Iprobe", SlowProgress},
+		{"MPI_Iprobe", "MPI_Allreduce", SlowProgress},
+		{"MPI_Wait", "MPI_Test", SlowProgress},
+		{"MPI_Testsome", "MPI_Recv", SlowProgress},
+		{"MPI_Test", "MPI_Iprobe", NoProgress},
+		{"MPI_Testany", "MPI_Testall", NoProgress},
+	}
+	for _, c := range cases {
+		a := Trace{Version: 3, State: InMPI, TopMPI: c.from, NonPollEntries: 4, PollEntries: 9}
+		b := Trace{Version: 5, State: InMPI, TopMPI: c.to, NonPollEntries: 4, PollEntries: 10}
+		if got := CompareTraces(a, b); got != c.want {
+			t.Errorf("CompareTraces(%s -> %s) = %v, want %v", c.from, c.to, got, c.want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -202,48 +204,240 @@ func TestECDFQuantileProperty(t *testing.T) {
 	}
 }
 
-// An ECDF maintained by Insert and Replace holds, after every step, the
-// sorted multiset a Reset over the same values would have built.
-func TestECDFMaintainedMatchesReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	var e ECDF
-	e.Grow(16)
-	grown := &e.Sorted()[:1][0]
-	var vals []float64
-	check := func(step string) {
-		t.Helper()
-		want := NewECDF(vals).Sorted()
-		got := e.Sorted()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %v, a Reset gives %v", step, got, want)
+// sameECDF reports whether two ECDFs hold the same representation:
+// the same distinct values with the same cumulative counts.
+func sameECDF(a, b *ECDF) bool {
+	return slices.Equal(a.vals, b.vals) && slices.Equal(a.cum, b.cum)
+}
+
+// replaceCase names the structural case a Replace(old, v) takes on the
+// multiset ref: its direction, whether old's last copy leaves, whether
+// v is new, and for a rotation (both) whether every value in between
+// holds one sample, the case that moves values and no counts.
+func replaceCase(ref []float64, old, v float64) string {
+	count := func(x float64) (c int) {
+		for _, r := range ref {
+			if r == x {
+				c++
+			}
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: %v, a Reset gives %v", step, got, want)
+		return c
+	}
+	if v == old {
+		return "same value"
+	}
+	dir := "up"
+	lo, hi := old, v
+	if v < old {
+		dir, lo, hi = "down", v, old
+	}
+	last, isNew := count(old) == 1, count(v) == 0
+	switch {
+	case last && isNew:
+		for _, r := range ref {
+			if r > lo && r < hi && count(r) > 1 {
+				return dir + "/rotation"
+			}
+		}
+		return dir + "/rotation of singles"
+	case last:
+		return dir + "/last copy leaves"
+	case isNew:
+		return dir + "/new value"
+	}
+	return dir + "/counts only"
+}
+
+// An ECDF maintained by Insert and Replace holds, after every step, the
+// representation a Reset over the same values would have built, on
+// inputs with few levels, many levels and no repeats at all. Together
+// the shapes must drive every structural case of Replace in both
+// directions. Once the peak number of distinct values has been reached,
+// maintaining the window allocates nothing.
+func TestECDFMaintainedMatchesReset(t *testing.T) {
+	shapes := []struct {
+		name string
+		n    int
+		gen  func(*rand.Rand) float64
+	}{
+		{"5 levels", 16, func(r *rand.Rand) float64 { return float64(r.Intn(5)) }},
+		{"1500 levels", 1024, func(r *rand.Rand) float64 { return float64(r.Intn(1500)) / 1500 }},
+		{"all distinct", 256, func(r *rand.Rand) float64 { return r.Float64() }},
+	}
+	seen := map[string]int{}
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(6))
+		// Values come from a ring of 3n. The first pass replaces random
+		// slots; later passes overwrite the slots in turn, which makes
+		// the window the last n values of a sequence with period 3n, so
+		// the alloc check below meets no new peak of distinct values.
+		ring := make([]float64, 3*sh.n)
+		for i := range ring {
+			ring[i] = sh.gen(rng)
+		}
+		var e ECDF
+		check := func(step string, window []float64) {
+			t.Helper()
+			if want := NewECDF(window); !sameECDF(&e, want) {
+				t.Fatalf("%s, %s: %v %v, a Reset gives %v %v", sh.name, step, e.vals, e.cum, want.vals, want.cum)
+			}
+		}
+		for i := 0; i < sh.n; i++ {
+			e.Insert(ring[i])
+			check("insert", ring[:i+1])
+		}
+		window := slices.Clone(ring[:sh.n])
+		next := sh.n
+		replace := func(slot int) {
+			t.Helper()
+			old, v := window[slot], ring[next%len(ring)]
+			next++
+			if !e.Replace(old, v) {
+				t.Fatalf("%s: Replace(%v, %v) found no %v", sh.name, old, v, old)
+			}
+			window[slot] = v
+		}
+		for k := 0; k < 3*len(ring); k++ {
+			slot := k % sh.n
+			if k < len(ring) {
+				slot = rng.Intn(sh.n)
+			}
+			seen[replaceCase(window, window[slot], ring[next%len(ring)])]++
+			replace(slot)
+			check("replace", window)
+		}
+		if e.Replace(99, 1) {
+			t.Fatalf("%s: Replace of an absent value reported success", sh.name)
+		}
+		check("replace of an absent value", window)
+		k := 3 * len(ring)
+		if avg := testing.AllocsPerRun(len(ring), func() {
+			replace(k % sh.n)
+			k++
+		}); avg != 0 {
+			t.Errorf("%s: Replace allocates %v times after warm-up, want 0", sh.name, avg)
+		}
+		check("the alloc check's replacements", window)
+	}
+	for _, dir := range []string{"up", "down"} {
+		for _, c := range []string{"counts only", "new value", "last copy leaves", "rotation", "rotation of singles"} {
+			if seen[dir+"/"+c] == 0 {
+				t.Errorf("no Replace took case %s/%s (cases drawn: %v)", dir, c, seen)
 			}
 		}
 	}
-	for len(vals) < 16 {
-		v := float64(rng.Intn(5)) // few distinct values: runs of equals
-		e.Insert(v)
-		vals = append(vals, v)
-		check("insert")
+}
+
+// fuzzValue decodes one byte into a sample: mostly a level out of 13
+// (long runs of equal values), otherwise one of a wide spread of
+// magnitudes of either sign, including -0.
+func fuzzValue(b byte) float64 {
+	if b < 200 {
+		return float64(b%13) / 12
 	}
-	for i := 0; i < 500; i++ {
-		k, v := rng.Intn(len(vals)), float64(rng.Intn(7)-1)
-		if !e.Replace(vals[k], v) {
-			t.Fatalf("Replace(%v, %v) found no %v in %v", vals[k], v, vals[k], e.Sorted())
+	return math.Ldexp(float64(int(b)-228), int(b)%7*9-27)
+}
+
+// checkECDF compares every query of e against the sorted multiset ref.
+func checkECDF(e *ECDF, ref []float64) error {
+	if e.N() != len(ref) {
+		return fmt.Errorf("N = %d, want %d", e.N(), len(ref))
+	}
+	var distinct []float64
+	for i, v := range ref {
+		if i == 0 || v != ref[i-1] {
+			distinct = append(distinct, v)
 		}
-		vals[k] = v
-		check("replace")
 	}
-	if e.Replace(99, 1) {
-		t.Fatal("Replace of an absent value reported success")
+	if got := e.Values(); !slices.Equal(got, distinct) {
+		return fmt.Errorf("Values = %v, want %v", got, distinct)
 	}
-	check("replace of an absent value")
-	if &e.Sorted()[0] != grown {
-		t.Fatal("the buffer moved: Grow(16) should have sized it for 16 values once")
+	probes := []float64{math.Inf(-1), math.Inf(1)}
+	for _, v := range distinct {
+		probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
 	}
+	for _, x := range probes {
+		le := sort.Search(len(ref), func(i int) bool { return ref[i] > x })
+		want := 0.0
+		if len(ref) > 0 {
+			want = float64(le) / float64(len(ref))
+		}
+		if got := e.F(x); got != want {
+			return fmt.Errorf("F(%v) = %v, want %v", x, got, want)
+		}
+		lt := sort.Search(len(ref), func(i int) bool { return ref[i] >= x })
+		got, ok := e.Below(x)
+		if ok != (lt > 0) || ok && got != ref[lt-1] {
+			return fmt.Errorf("Below(%v) = %v, %v; %d values lie below it", x, got, ok, lt)
+		}
+	}
+	if len(ref) == 0 {
+		return nil
+	}
+	for _, p := range []float64{-1, 0, 1e-9, 0.06, 0.12, 0.27, 0.47, 0.5, 0.75, 0.999, 1, 2} {
+		k := int(math.Ceil(p * float64(len(ref))))
+		k = min(max(k, 1), len(ref))
+		if got := e.Quantile(p); got != ref[k-1] {
+			return fmt.Errorf("Quantile(%v) = %v, want %v", p, got, ref[k-1])
+		}
+	}
+	return nil
+}
+
+// FuzzECDF runs sequences of Insert, Replace and Reset against a plain
+// sorted slice and compares every query after every op. Each op reads
+// two bytes: the op and its operand.
+func FuzzECDF(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0, 2, 1, 0, 2, 5, 3, 7})
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 0, 0, 3, 26, 3}) // both rotations past a repeated value
+	f.Add([]byte{0, 0, 0, 13, 0, 26, 1, 0, 1, 1, 2, 4, 1, 2, 3, 9})
+	f.Add([]byte{0, 210, 0, 240, 0, 255, 0, 228, 1, 1, 1, 2, 2, 250, 3, 99})
+	f.Add([]byte("insert, replace and reset, in no particular order, again and again"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var e ECDF
+		var ref []float64 // sorted
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			switch op % 4 {
+			case 0, 1: // Insert
+				v := fuzzValue(arg)
+				e.Insert(v)
+				ref = append(ref, v)
+				slices.Sort(ref)
+			case 2: // Replace one stored value (or, if empty, an absent one)
+				v := fuzzValue(op)
+				if len(ref) == 0 {
+					if e.Replace(v, v) {
+						t.Fatalf("op %d: Replace on an empty ECDF reported success", i/2)
+					}
+					break
+				}
+				k := int(arg) % len(ref)
+				if !e.Replace(ref[k], v) {
+					t.Fatalf("op %d: Replace(%v, %v) found no %v", i/2, ref[k], v, ref[k])
+				}
+				ref[k] = v
+				slices.Sort(ref)
+			case 3: // Reset from the next arg%16 values, or refuse an absent value
+				if arg%32 >= 16 {
+					if e.Replace(2, 0) { // 2 is never a sample
+						t.Fatalf("op %d: Replace of an absent value reported success", i/2)
+					}
+					break
+				}
+				vals := make([]float64, 0, 16)
+				for k := 0; k < int(arg%16) && i+2+k < len(ops); k++ {
+					vals = append(vals, fuzzValue(ops[i+2+k]))
+				}
+				e.Reset(vals)
+				ref = slices.Clone(vals)
+				slices.Sort(ref)
+			}
+			if err := checkECDF(&e, ref); err != nil {
+				t.Fatalf("op %d (%d, %d): %v", i/2, op, arg, err)
+			}
+		}
+	})
 }
 
 func TestECDFValuesAndBelow(t *testing.T) {
@@ -289,14 +483,36 @@ func TestRequiredSampleSizePaperAnchors(t *testing.T) {
 	}
 }
 
+// Above p = 0.5 the n(1-p) > 5 term is the one that binds, unless the
+// tolerance term is larger: (0.7, 0.3) needs ceil(5/0.3) = 17 samples,
+// where 5/p alone gives 8 and the tolerance term 9. The model accepts
+// candidate probabilities up to 0.75, so this half of the range is live.
+func TestRequiredSampleSizeAboveHalf(t *testing.T) {
+	cases := []struct {
+		p, e float64
+		n    int
+	}{
+		{0.7, 0.3, 17},  // ceil(16.67): the 5/(1-p) term
+		{0.6, 0.3, 13},  // ceil(12.5): the 5/(1-p) term
+		{0.74, 0.2, 20}, // ceil(19.23): the 5/(1-p) term
+		{0.7, 0.1, 81},  // ceil(80.67): the tolerance term
+	}
+	for _, c := range cases {
+		if got := RequiredSampleSize(c.p, c.e); got != c.n {
+			t.Errorf("RequiredSampleSize(%v, %v) = %d, want %d", c.p, c.e, got, c.n)
+		}
+	}
+}
+
 // Property: the sample-size bound is the max of its terms and
-// decreasing in e.
+// decreasing in e, over every p the model may accept as a candidate
+// (up to its pMaxCandidate of 0.75).
 func TestRequiredSampleSizeProperty(t *testing.T) {
 	f := func(pRaw, eRaw float64) bool {
-		p := 0.01 + math.Abs(math.Mod(pRaw, 0.49))
+		p := 0.01 + math.Abs(math.Mod(pRaw, 0.74))
 		e := 0.01 + math.Abs(math.Mod(eRaw, 0.3))
 		n := RequiredSampleSize(p, e)
-		if float64(n) < 5/p-1 || float64(n) < Z95Sq*p*(1-p)/(e*e)-1 {
+		if float64(n) < 5/p-1 || float64(n) < 5/(1-p)-1 || float64(n) < Z95Sq*p*(1-p)/(e*e)-1 {
 			return false
 		}
 		return RequiredSampleSize(p, e/2) >= n
