@@ -95,14 +95,16 @@ sweep-smoke:
 # must equal the sorted history and fit bit-identically to a rebuild),
 # and of the ECDF's counted distinct values (after any Insert/Replace/
 # Reset sequence every query must answer as a plain sorted slice does).
-# Fixed seed corpus + 5s of mutation each.
+# Fixed seed corpus + 5s of mutation each. Minimising a newly
+# interesting input is capped at 1s (the default is 60s), so the
+# budget goes to fuzzing rather than to minimisation.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=5s ./internal/sweep
-	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=5s ./internal/diagnose/waitfor
-	$(GO) test -run='^$$' -fuzz=FuzzProof -fuzztime=5s ./internal/ledger
-	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/service
-	$(GO) test -run='^$$' -fuzz=FuzzModelIncremental -fuzztime=5s ./internal/model
-	$(GO) test -run='^$$' -fuzz=FuzzECDF -fuzztime=5s ./internal/stats
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=5s -fuzzminimizetime=1s ./internal/sweep
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=5s -fuzzminimizetime=1s ./internal/diagnose/waitfor
+	$(GO) test -run='^$$' -fuzz=FuzzProof -fuzztime=5s -fuzzminimizetime=1s ./internal/ledger
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s -fuzzminimizetime=1s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzModelIncremental -fuzztime=5s -fuzzminimizetime=1s ./internal/model
+	$(GO) test -run='^$$' -fuzz=FuzzECDF -fuzztime=5s -fuzzminimizetime=1s ./internal/stats
 
 # Chaos smoke: a short clean campaign under the aggressive "heavy"
 # chaos profile, under the race detector, asserting zero false

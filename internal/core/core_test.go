@@ -370,3 +370,38 @@ func TestMonitorSetsDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// The randomized sampling step is rand(I) + I/2 (PAPER.md §3): on a
+// healthy run at a fixed I, every gap between consecutive samples lies
+// in [I/2, 3I/2), and gaps from both halves of that range occur. The
+// tiny alpha keeps every suspicion streak short of verification, whose
+// transient filter sleeps between two samples.
+func TestSamplingStepWithinHalfToThreeHalvesI(t *testing.T) {
+	app := testApp{iters: 2000, baseCompute: 10 * time.Millisecond, skew: 40 * time.Millisecond, collBytes: 1 << 12}
+	cfg := Config{C: 4, Alpha: 1e-12, KeepHistory: true, DisableAdaptation: true}
+	eng, w, m := launch(13, 8, 4, app, cfg)
+	eng.Run(time.Hour)
+	if !w.Done() || m.Report() != nil || m.SlowdownsSeen() != 0 {
+		t.Fatalf("want a healthy run with no verification: done=%v report=%v slowdowns=%d", w.Done(), m.Report(), m.SlowdownsSeen())
+	}
+	I := m.Interval()
+	h := m.History()
+	if len(h) < 50 {
+		t.Fatalf("only %d samples", len(h))
+	}
+	low, high := 0, 0
+	for i := 1; i < len(h); i++ {
+		gap := h[i].T - h[i-1].T
+		switch {
+		case gap < I/2 || gap >= 3*I/2:
+			t.Fatalf("gap %v between samples %d and %d is outside [%v, %v)", gap, i-1, i, I/2, 3*I/2)
+		case gap < I:
+			low++
+		default:
+			high++
+		}
+	}
+	if low == 0 || high == 0 {
+		t.Fatalf("gaps in [I/2, I): %d, in [I, 3I/2): %d; want both", low, high)
+	}
+}

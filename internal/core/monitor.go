@@ -3,17 +3,19 @@
 // classification and faulty-process identification.
 //
 // The monitor is a simulated process that samples the runtime state of
-// C randomly chosen ranks at randomized intervals, maintains the robust
-// Scrout model of internal/model, verifies hangs with the geometric
-// significance test of the paper's §3.1, adapts its sampling interval
-// with a runs test (§3.1), alternates between two disjoint monitor sets
-// to defeat the corner case of §3.3, filters transient slowdowns
-// (§3.3), and — on a verified hang — classifies it and pinpoints the
-// faulty ranks (§4).
+// C randomly chosen ranks at randomized intervals and hands each Scrout
+// value to the detection kernel (Kernel), which maintains the robust
+// model of internal/model, adapts the sampling interval with a runs
+// test and verifies hangs with the geometric significance test (§3.1).
+// The monitor alternates between disjoint monitor sets to defeat the
+// corner case of §3.3, filters transient slowdowns (§3.3), and — on a
+// verified hang — classifies it and pinpoints the faulty ranks (§4).
 package core
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +26,6 @@ import (
 	"parastack/internal/obs"
 	"parastack/internal/sim"
 	"parastack/internal/stack"
-	"parastack/internal/stats"
 	"parastack/internal/topology"
 )
 
@@ -182,46 +183,28 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.C == 0 {
-		c.C = 10
-	}
-	if c.InitialInterval == 0 {
-		c.InitialInterval = 400 * time.Millisecond
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.001
-	}
-	if c.RunsBatch == 0 {
-		c.RunsBatch = 16
-	}
-	if c.RunsAlpha == 0 {
-		c.RunsAlpha = 0.05
-	}
-	if c.SwitchEvery == 0 {
-		c.SwitchEvery = 30
-	}
-	if c.NumSets == 0 {
-		c.NumSets = 2
-	}
-	if c.TraceCost == 0 {
-		c.TraceCost = 3 * time.Millisecond
-	}
-	if c.MaxHistory == 0 {
-		c.MaxHistory = 1024
-	}
-	if c.FaultScans == 0 {
-		c.FaultScans = 3
-	}
-	if c.FaultScanGap == 0 {
-		c.FaultScanGap = 100 * time.Millisecond
-	}
-	if c.Quorum == 0 {
-		c.Quorum = 0.5
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
-	}
+	orDefault(&c.C, 10)
+	orDefault(&c.InitialInterval, 400*time.Millisecond)
+	orDefault(&c.Alpha, 0.001)
+	orDefault(&c.RunsBatch, 16)
+	orDefault(&c.RunsAlpha, 0.05)
+	orDefault(&c.SwitchEvery, 30)
+	orDefault(&c.NumSets, 2)
+	orDefault(&c.TraceCost, 3*time.Millisecond)
+	orDefault(&c.MaxHistory, 1024)
+	orDefault(&c.FaultScans, 3)
+	orDefault(&c.FaultScanGap, 100*time.Millisecond)
+	orDefault(&c.Quorum, 0.5)
+	orDefault(&c.QuarantineAfter, 3)
 	return c
+}
+
+// orDefault sets *v to d when *v is the zero value.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
+	}
 }
 
 // Monitor is a ParaStack instance attached to one simulated world.
@@ -230,12 +213,10 @@ type Monitor struct {
 	w       *mpi.World
 	cluster *topology.Cluster
 
-	model *model.Model
-	I     time.Duration
+	model  *model.Model
+	kernel Kernel
+	I      time.Duration
 
-	randomOK     bool
-	sinceRuns    int
-	suspicions   int
 	sets         []topology.MonitorSet
 	activeSet    int
 	sinceSwitch  int
@@ -250,9 +231,11 @@ type Monitor struct {
 	history   []Sample
 	histStart int
 
-	// traceScratch is reused by slowdownCheck so the steady-state
-	// verification path allocates nothing per check.
+	// traceScratch and okScratch (which first-traces arrived) are
+	// reused by slowdownCheck so the steady-state verification path
+	// allocates nothing per check.
 	traceScratch []stack.Trace
+	okScratch    []bool
 
 	// Phase support (§6): nil models map means single-phase operation.
 	curPhase int
@@ -268,7 +251,6 @@ type Monitor struct {
 	lastTrace   []stack.Trace
 	lastEpoch   []uint64 // per-rank epoch of lastTrace; 0 = never probed
 	failStreak  []int    // consecutive lost probes, reset on any reply
-	okScratch   []bool   // slowdownCheck scratch: which first-traces arrived
 	quarantined map[int]bool
 
 	// Failover state: set by RestoreMonitor so the first accepted round
@@ -278,11 +260,9 @@ type Monitor struct {
 
 	// Stats observable by experiments (counter-style stats live on the
 	// recorder; see Doublings and SlowdownsSeen).
-	ModelReadyAt  time.Duration // first time the model could fit (0 if never)
-	modelWasReady bool
-	rec           obs.Recorder
-	proc          *sim.Proc
-	stopped       bool
+	ModelReadyAt time.Duration // first time the model could fit (0 if never)
+	rec          obs.Recorder
+	stopped      bool
 }
 
 // New attaches a monitor to world w laid out as cluster. It does not
@@ -298,14 +278,14 @@ func New(w *mpi.World, cluster *topology.Cluster, cfg Config) *Monitor {
 		w:       w,
 		cluster: cluster,
 		model:   model.New(cfg.MaxHistory),
+		kernel:  NewKernel(cfg),
 		I:       cfg.InitialInterval,
 		rec:     rec,
 	}
 	rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
 	rng := w.Engine().Rand()
 	if cfg.DisableSetSwitch {
-		one := cluster.PickMonitorSet(rng, cfg.C, nil)
-		m.sets = []topology.MonitorSet{one}
+		m.sets = []topology.MonitorSet{cluster.PickMonitorSet(rng, cfg.C, nil)}
 	} else {
 		m.sets = cluster.NDisjointMonitorSets(rng, cfg.NumSets, cfg.C)
 		// Drop sets the cluster was too small to fill.
@@ -329,7 +309,6 @@ func New(w *mpi.World, cluster *topology.Cluster, cfg Config) *Monitor {
 		m.lastTrace = make([]stack.Trace, n)
 		m.lastEpoch = make([]uint64, n)
 		m.failStreak = make([]int, n)
-		m.okScratch = make([]bool, n)
 		m.quarantined = make(map[int]bool)
 	}
 	return m
@@ -392,23 +371,16 @@ func (m *Monitor) Quarantined() []int {
 	if len(m.quarantined) == 0 {
 		return nil
 	}
-	out := make([]int, 0, len(m.quarantined))
-	for r := range m.quarantined {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Sorted(maps.Keys(m.quarantined))
 }
 
 // Recorder returns the monitor's observability recorder.
 func (m *Monitor) Recorder() obs.Recorder { return m.rec }
 
-// Doublings reports how many times the sampling interval I was doubled
-// (recorder-backed; formerly a struct field).
+// Doublings reports how many times the sampling interval I was doubled.
 func (m *Monitor) Doublings() int { return int(m.rec.Counter(CtrDoublings)) }
 
-// SlowdownsSeen reports how many transient slowdowns the filter caught
-// (recorder-backed; formerly a struct field).
+// SlowdownsSeen reports how many transient slowdowns the filter caught.
 func (m *Monitor) SlowdownsSeen() int { return int(m.rec.Counter(CtrSlowdowns)) }
 
 // Stop makes the monitor exit at its next wakeup (used when detaching,
@@ -424,7 +396,7 @@ func (m *Monitor) Stop() { m.stopped = true }
 // exits when the application completes, a hang is verified (after
 // invoking OnHang or stopping the engine), or Stop is called.
 func (m *Monitor) Start() {
-	m.proc = m.w.Engine().SpawnNow("parastack-monitor", m.run)
+	m.w.Engine().SpawnNow("parastack-monitor", m.run)
 }
 
 func (m *Monitor) run(p *sim.Proc) {
@@ -450,39 +422,30 @@ func (m *Monitor) run(p *sim.Proc) {
 		}
 		m.noteRecovery()
 		md := m.curModel()
-		md.Add(scrout)
 		m.totalSamples++
-		m.sinceRuns++
-
-		// Interval adaptation: runs test every RunsBatch samples until
-		// the sampling is statistically random.
-		if !m.randomOK && !m.cfg.DisableAdaptation && m.sinceRuns >= m.cfg.RunsBatch {
-			m.sinceRuns = 0
-			res := stats.RunsTest(md.Recent(m.cfg.RunsBatch), m.cfg.RunsAlpha)
-			if res.Random {
-				m.randomOK = true
-			} else {
-				m.I *= 2
-				m.rec.Count(CtrDoublings, 1)
-				m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
-				if m.rec.Enabled() {
-					m.rec.Event(time.Duration(eng.Now()), EvDoubling,
-						obs.Dur("interval_us", m.I))
-				}
-				m.halveModels()
+		// The kernel's runs test asks for a doubling while the sampling
+		// is not yet random (§3 step 2); the actuators are the monitor's.
+		if m.kernel.Add(md, scrout) {
+			m.I *= 2
+			m.rec.Count(CtrDoublings, 1)
+			m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
+			if m.rec.Enabled() {
+				m.rec.Event(time.Duration(eng.Now()), EvDoubling,
+					obs.Dur("interval_us", m.I))
 			}
+			m.halveModels()
 		}
 
-		fit, ok := md.Fit()
-		if !ok {
+		d := m.kernel.Decide(md, scrout)
+		if d == Learning {
 			m.record(scrout, false)
 			m.rotateSet()
 			continue
 		}
+		fit := m.kernel.Fit()
 		m.rec.Gauge(GaugeQ, fit.Q)
 		m.rec.Gauge(GaugeThreshold, fit.Threshold)
-		if !m.modelWasReady {
-			m.modelWasReady = true
+		if m.kernel.FirstFit() {
 			m.ModelReadyAt = time.Duration(eng.Now())
 			if m.rec.Enabled() {
 				m.rec.Event(m.ModelReadyAt, EvModelReady,
@@ -492,24 +455,20 @@ func (m *Monitor) run(p *sim.Proc) {
 			}
 		}
 
-		suspicion := scrout <= fit.Threshold
-		m.record(scrout, suspicion)
-		if !suspicion {
-			m.suspicions = 0
+		m.record(scrout, d != Clear)
+		if d == Clear {
 			m.rotateSet()
 			continue
 		}
-		m.suspicions++
 		m.rec.Count(CtrSuspicions, 1)
-		k := stats.GeometricThreshold(fit.Q, m.cfg.Alpha)
 		if m.rec.Enabled() {
 			m.rec.Event(time.Duration(eng.Now()), EvSuspicion,
-				obs.Int("streak", int64(m.suspicions)),
-				obs.Int("k", int64(k)),
+				obs.Int("streak", int64(m.kernel.Streak())),
+				obs.Int("k", int64(m.kernel.K())),
 				obs.F64("q", fit.Q),
 				obs.F64("threshold", fit.Threshold))
 		}
-		if m.suspicions < k {
+		if d != Verify {
 			m.rotateSet()
 			continue
 		}
@@ -524,9 +483,9 @@ func (m *Monitor) run(p *sim.Proc) {
 				m.rec.Count(CtrSlowdowns, 1)
 				if m.rec.Enabled() {
 					m.rec.Event(time.Duration(eng.Now()), EvSlowdown,
-						obs.Int("streak", int64(m.suspicions)))
+						obs.Int("streak", int64(m.kernel.Streak())))
 				}
-				m.suspicions = 0
+				m.kernel.Veto()
 				m.rotateSet()
 				continue
 			}
@@ -540,7 +499,7 @@ func (m *Monitor) run(p *sim.Proc) {
 		// follow take additional virtual time and must not shift it.
 		rep := &Report{
 			DetectedAt: time.Duration(eng.Now()),
-			Suspicions: m.suspicions,
+			Suspicions: m.kernel.Streak(),
 			Q:          fit.Q,
 			Threshold:  fit.Threshold,
 		}
@@ -674,18 +633,11 @@ func (m *Monitor) sampleRound() (float64, bool) {
 		}
 	}
 	// Quarantine after the probe loop: replacing a rank mutates the
-	// slice being ranged over, so restart the scan after each one.
-	for {
-		quarantinedOne := false
-		for _, id := range m.sets[m.activeSet].Ranks {
-			if !m.quarantined[id] && m.failStreak[id] >= m.cfg.QuarantineAfter {
-				m.quarantine(id)
-				quarantinedOne = true
-				break
-			}
-		}
-		if !quarantinedOne {
-			break
+	// set being scanned, so restart the scan after each one.
+	for i := 0; i < len(m.sets[m.activeSet].Ranks); i++ {
+		if id := m.sets[m.activeSet].Ranks[i]; !m.quarantined[id] && m.failStreak[id] >= m.cfg.QuarantineAfter {
+			m.quarantine(id)
+			i = -1 // rescan the changed set from its start
 		}
 	}
 	need := int(math.Ceil(m.cfg.Quorum * float64(len(ranks))))
@@ -712,15 +664,11 @@ func (m *Monitor) sampleRound() (float64, bool) {
 // round's. A stale reply with nothing cached yet is indistinguishable
 // from a loss to the monitor and is treated as one.
 func (m *Monitor) probeRound(rankID int) (stack.Trace, uint64, bool) {
-	switch m.cfg.Chaos.ProbeFate(rankID, time.Duration(m.w.Engine().Now())) {
-	case chaos.FateLost:
-		m.rec.Count(CtrProbesLost, 1)
-		return stack.Trace{}, 0, false
-	case chaos.FateStale:
-		m.rec.Count(CtrProbesStale, 1)
-		if m.lastEpoch[rankID] > 0 {
-			return m.lastTrace[rankID], m.lastEpoch[rankID], true
-		}
+	f := m.probeFate(rankID)
+	if f == chaos.FateStale && m.lastEpoch[rankID] > 0 {
+		return m.lastTrace[rankID], m.lastEpoch[rankID], true
+	}
+	if f != chaos.FateOK {
 		return stack.Trace{}, 0, false
 	}
 	tr := m.trace(rankID)
@@ -734,18 +682,23 @@ func (m *Monitor) probeRound(rankID int) (stack.Trace, uint64, bool) {
 // now, so a stale reply is as useless as a lost one, and neither
 // touches the per-rank trace cache.
 func (m *Monitor) probeFresh(rankID int) (stack.Trace, bool) {
-	if !m.chaosOn {
-		return m.trace(rankID), true
-	}
-	switch m.cfg.Chaos.ProbeFate(rankID, time.Duration(m.w.Engine().Now())) {
-	case chaos.FateLost:
-		m.rec.Count(CtrProbesLost, 1)
-		return stack.Trace{}, false
-	case chaos.FateStale:
-		m.rec.Count(CtrProbesStale, 1)
+	if m.chaosOn && m.probeFate(rankID) != chaos.FateOK {
 		return stack.Trace{}, false
 	}
 	return m.trace(rankID), true
+}
+
+// probeFate draws one probe's fate from the chaos layer and counts it
+// if it was lost or stale.
+func (m *Monitor) probeFate(rankID int) chaos.Fate {
+	f := m.cfg.Chaos.ProbeFate(rankID, time.Duration(m.w.Engine().Now()))
+	switch f {
+	case chaos.FateLost:
+		m.rec.Count(CtrProbesLost, 1)
+	case chaos.FateStale:
+		m.rec.Count(CtrProbesStale, 1)
+	}
+	return f
 }
 
 // quarantine gives up on an unreachable rank: it is removed from
@@ -778,13 +731,7 @@ func (m *Monitor) quarantine(id int) {
 	rng := m.w.Engine().Rand()
 	for si := range m.sets {
 		ranks := m.sets[si].Ranks
-		pos := -1
-		for i, r := range ranks {
-			if r == id {
-				pos = i
-				break
-			}
-		}
+		pos := slices.Index(ranks, id)
 		if pos < 0 {
 			continue
 		}
@@ -871,44 +818,25 @@ func (m *Monitor) slowdownCheck(p *sim.Proc) bool {
 	n := m.w.Size()
 	if cap(m.traceScratch) < n {
 		m.traceScratch = make([]stack.Trace, n)
-	}
-	first := m.traceScratch[:n]
-	if !m.chaosOn {
-		for i := 0; i < n; i++ {
-			first[i] = m.trace(i)
-		}
-		p.Sleep(gap)
-		if m.w.Done() || m.stopped {
-			return true // completed (or detached) while we checked
-		}
-		for i := 0; i < n; i++ {
-			if stack.CompareTraces(first[i], m.trace(i)) == stack.SlowProgress {
-				return true
-			}
-		}
-		return false
+		m.okScratch = make([]bool, n)
 	}
 	// Under chaos either trace of a pair can be missing; a rank only
 	// proves liveness when both its probes arrived. Skipped pairs are
 	// conservative — they can only push toward the hang verdict, never
-	// suppress one.
-	arrived := m.okScratch
+	// suppress one. Without chaos every probe arrives.
+	first, arrived := m.traceScratch[:n], m.okScratch[:n]
 	for i := 0; i < n; i++ {
 		first[i], arrived[i] = m.probeFresh(i)
 	}
 	p.Sleep(gap)
 	if m.w.Done() || m.stopped {
-		return true
+		return true // completed (or detached) while we checked
 	}
 	for i := 0; i < n; i++ {
 		if !arrived[i] {
 			continue
 		}
-		sec, ok := m.probeFresh(i)
-		if !ok {
-			continue
-		}
-		if stack.CompareTraces(first[i], sec) == stack.SlowProgress {
+		if sec, ok := m.probeFresh(i); ok && stack.CompareTraces(first[i], sec) == stack.SlowProgress {
 			return true
 		}
 	}
@@ -943,17 +871,13 @@ func (m *Monitor) identifyFaulty(p *sim.Proc) []int {
 			if !persistent[i] {
 				continue
 			}
-			if !m.chaosOn {
-				if m.trace(i).State != stack.OutMPI {
-					persistent[i] = false
-				}
-				continue
-			}
 			tr, ok := m.probeFresh(i)
 			if !ok {
 				continue
 			}
-			observed[i]++
+			if observed != nil {
+				observed[i]++
+			}
 			if tr.State != stack.OutMPI {
 				persistent[i] = false
 			}

@@ -27,7 +27,7 @@ func (m *Monitor) NotifyPhase(id int) {
 		return
 	}
 	m.curPhase = id
-	m.suspicions = 0
+	m.kernel.NewPhase()
 	m.rec.Count(CtrPhaseSwitches, 1)
 	if m.rec.Enabled() {
 		m.rec.Event(time.Duration(m.w.Engine().Now()), EvPhase, obs.Int("phase", int64(id)))

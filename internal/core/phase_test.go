@@ -99,9 +99,9 @@ func TestNotifyPhaseResetsStreakAndIsIdempotent(t *testing.T) {
 	w := mpi.NewWorld(eng, 8, mpi.Latency{})
 	cl := topology.New(2, 4, 23)
 	m := New(w, cl, Config{C: 4})
-	m.suspicions = 7
+	m.kernel.streak = 7
 	m.NotifyPhase(3)
-	if m.suspicions != 0 {
+	if m.kernel.streak != 0 {
 		t.Fatal("phase switch must reset the suspicion streak")
 	}
 	if m.Phase() != 3 {

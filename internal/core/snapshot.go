@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"parastack/internal/model"
@@ -50,14 +49,14 @@ func (m *Monitor) Snapshot() Snapshot {
 	s := Snapshot{
 		At:            time.Duration(m.w.Engine().Now()),
 		I:             m.I,
-		RandomOK:      m.randomOK,
+		RandomOK:      m.kernel.randomOK,
 		TotalSamples:  m.totalSamples,
 		Epoch:         m.epoch,
 		CurPhase:      m.curPhase,
 		ActiveSet:     m.activeSet,
 		SinceSwitch:   m.sinceSwitch,
 		ModelReadyAt:  m.ModelReadyAt,
-		ModelWasReady: m.modelWasReady,
+		ModelWasReady: m.kernel.fitted,
 		Phases:        map[int][]float64{},
 	}
 	if m.models == nil {
@@ -67,17 +66,8 @@ func (m *Monitor) Snapshot() Snapshot {
 			s.Phases[id] = append([]float64(nil), md.Samples()...)
 		}
 	}
-	s.Sets = make([]topology.MonitorSet, len(m.sets))
-	for i, set := range m.sets {
-		s.Sets[i] = topology.MonitorSet{
-			Ranks: append([]int(nil), set.Ranks...),
-			Nodes: append([]int(nil), set.Nodes...),
-		}
-	}
-	for r := range m.quarantined {
-		s.Quarantined = append(s.Quarantined, r)
-	}
-	sort.Ints(s.Quarantined)
+	s.Sets = copySets(m.sets)
+	s.Quarantined = m.Quarantined()
 	return s
 }
 
@@ -92,12 +82,12 @@ func RestoreMonitor(w *mpi.World, cluster *topology.Cluster, cfg Config, snap Sn
 	m := New(w, cluster, cfg)
 	m.I = snap.I
 	m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
-	m.randomOK = snap.RandomOK
+	m.kernel.randomOK = snap.RandomOK
 	m.totalSamples = snap.TotalSamples
 	m.epoch = snap.Epoch
 	m.sinceSwitch = snap.SinceSwitch
 	m.ModelReadyAt = snap.ModelReadyAt
-	m.modelWasReady = snap.ModelWasReady
+	m.kernel.fitted = snap.ModelWasReady
 
 	if len(snap.Phases) > 0 {
 		m.model.Restore(snap.Phases[0])
@@ -116,13 +106,7 @@ func RestoreMonitor(w *mpi.World, cluster *topology.Cluster, cfg Config, snap Sn
 		}
 	}
 	if len(snap.Sets) > 0 {
-		m.sets = make([]topology.MonitorSet, len(snap.Sets))
-		for i, set := range snap.Sets {
-			m.sets[i] = topology.MonitorSet{
-				Ranks: append([]int(nil), set.Ranks...),
-				Nodes: append([]int(nil), set.Nodes...),
-			}
-		}
+		m.sets = copySets(snap.Sets)
 	}
 	m.activeSet = snap.ActiveSet
 	if m.activeSet >= len(m.sets) {
@@ -145,4 +129,13 @@ func RestoreMonitor(w *mpi.World, cluster *topology.Cluster, cfg Config, snap Sn
 			obs.Dur("down_us", m.restoredAt-snap.At))
 	}
 	return m
+}
+
+// copySets deep-copies monitor sets.
+func copySets(sets []topology.MonitorSet) []topology.MonitorSet {
+	out := make([]topology.MonitorSet, len(sets))
+	for i, set := range sets {
+		out[i] = topology.MonitorSet{Ranks: append([]int(nil), set.Ranks...), Nodes: append([]int(nil), set.Nodes...)}
+	}
+	return out
 }

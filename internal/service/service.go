@@ -385,52 +385,47 @@ func (s *Service) armDeadline(j *job) {
 
 // Feed ingests Scrout samples for a resident stream job. Samples are
 // processed asynchronously, in order, by the job's shard; the per-job
-// backlog is bounded by Config.StreamBacklog.
+// backlog is bounded by Config.StreamBacklog. A refused batch is
+// counted as dropped, whole.
 func (s *Service) Feed(jobID string, samples []StreamSample) error {
 	if len(samples) == 0 {
 		return nil
 	}
+	if err := s.enqueue(jobID, samples); err != nil {
+		s.count(CtrSamplesDropped, int64(len(samples)))
+		return err
+	}
+	s.count(CtrSamplesIn, int64(len(samples)))
+	return nil
+}
+
+// enqueue validates a sample batch and puts it on its job's shard
+// queue, or says why not.
+func (s *Service) enqueue(jobID string, samples []StreamSample) error {
 	for _, smp := range samples {
 		// !(x >= 0) is true of NaN, -Inf and every negative, false of -0.
 		if !(smp.Scrout >= 0) || math.IsInf(smp.Scrout, 1) {
-			s.count(CtrSamplesDropped, int64(len(samples)))
 			return fmt.Errorf("%w: got %v", ErrBadSample, smp.Scrout)
 		}
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j := s.jobs[jobID]
-	if j == nil {
-		decidedJob := s.decided[jobID]
-		s.mu.Unlock()
-		s.count(CtrSamplesDropped, int64(len(samples)))
-		if decidedJob != nil {
-			return fmt.Errorf("service: job %q already decided", jobID)
-		}
+	switch {
+	case j == nil && s.decided[jobID] != nil:
+		return fmt.Errorf("service: job %q already decided", jobID)
+	case j == nil:
 		return ErrUnknownJob
-	}
-	if j.mon == nil {
-		s.mu.Unlock()
-		s.count(CtrSamplesDropped, int64(len(samples)))
+	case j.mon == nil:
 		return ErrNotStream
-	}
-	if s.draining {
-		s.mu.Unlock()
-		s.count(CtrSamplesDropped, int64(len(samples)))
+	case s.draining:
 		return ErrDraining
-	}
-	if j.pending+len(samples) > s.cfg.StreamBacklog {
-		s.mu.Unlock()
-		s.count(CtrSamplesDropped, int64(len(samples)))
+	case j.pending+len(samples) > s.cfg.StreamBacklog:
 		return ErrBacklog
-	}
-	if !s.offer(envelope{j: j, samples: samples, enq: time.Now()}) {
-		s.mu.Unlock()
-		s.count(CtrSamplesDropped, int64(len(samples)))
+	case !s.offer(envelope{j: j, samples: samples, enq: time.Now()}):
 		return ErrBusy
 	}
 	j.pending += len(samples)
-	s.mu.Unlock()
-	s.count(CtrSamplesIn, int64(len(samples)))
 	return nil
 }
 

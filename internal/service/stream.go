@@ -3,9 +3,9 @@ package service
 import (
 	"time"
 
+	"parastack/internal/core"
 	"parastack/internal/detect"
 	"parastack/internal/model"
-	"parastack/internal/stats"
 )
 
 // StreamSample is one externally observed Scrout value: the fraction of
@@ -21,24 +21,17 @@ type StreamSample struct {
 // StreamMonitor runs ParaStack's statistical hang test over an
 // externally fed Scrout sample stream — the daemon's detector for jobs
 // whose application runs outside the simulator (Scrout collectors on a
-// real cluster, replayed traces). It reuses the robust runtime model of
-// internal/model and the geometric significance test of internal/stats
-// exactly as core.Monitor does in its sampling loop:
-//
-//	add sample → refit model → suspicion if Scrout ≤ threshold →
-//	verify when the suspicion streak reaches k = ceil(log_q(alpha)).
-//
-// What it deliberately does not reproduce are the probe-plane features
-// that need a live world: interval adaptation (the feeder owns its
-// sampling cadence), monitor-set rotation, the transient-slowdown
-// filter, and faulty-rank identification — so a stream verdict is
-// always a communication-type report with no faulty ranks. A
-// StreamMonitor is not safe for concurrent use; the service serializes
-// each job's samples through its shard.
+// real cluster, replayed traces). It drives the detection kernel that
+// core.Monitor drives (core.Kernel), with interval adaptation off: the
+// feeder owns its sampling cadence. The probe plane's features need a
+// live world and are absent — monitor-set rotation, the
+// transient-slowdown filter, and faulty-rank identification — so a
+// stream verdict is always a communication-type report with no faulty
+// ranks. A StreamMonitor is not safe for concurrent use; the service
+// serializes each job's samples through its shard.
 type StreamMonitor struct {
 	m      *model.Model
-	alpha  float64
-	streak int
+	k      core.Kernel
 	n      int
 	report *detect.Report
 }
@@ -47,10 +40,10 @@ type StreamMonitor struct {
 // alpha (0 = the paper's 0.001) and a model history bound of
 // maxHistory samples (0 = 1024).
 func NewStreamMonitor(alpha float64, maxHistory int) *StreamMonitor {
-	if alpha == 0 {
-		alpha = 0.001
+	return &StreamMonitor{
+		m: model.New(maxHistory),
+		k: core.NewKernel(core.Config{Alpha: alpha, DisableAdaptation: true}),
 	}
-	return &StreamMonitor{m: model.New(maxHistory), alpha: alpha}
 }
 
 // Ingest folds one sample into the model and returns the verdict if
@@ -61,24 +54,15 @@ func (sm *StreamMonitor) Ingest(s StreamSample) *detect.Report {
 	if sm.report != nil {
 		return sm.report
 	}
-	sm.m.Add(s.Scrout)
-	fit, ok := sm.m.Fit()
-	if !ok {
-		// Model-building phase: no suspicion definition yet.
+	sm.k.Add(sm.m, s.Scrout) // adaptation is off: never asks to double
+	if sm.k.Decide(sm.m, s.Scrout) != core.Verify {
 		return nil
 	}
-	if s.Scrout > fit.Threshold {
-		sm.streak = 0
-		return nil
-	}
-	sm.streak++
-	if sm.streak < stats.GeometricThreshold(fit.Q, sm.alpha) {
-		return nil
-	}
+	fit := sm.k.Fit()
 	sm.report = &detect.Report{
 		DetectedAt: time.Duration(s.TUS) * time.Microsecond,
 		Type:       detect.HangCommunication,
-		Suspicions: sm.streak,
+		Suspicions: sm.k.Streak(),
 		Q:          fit.Q,
 		Threshold:  fit.Threshold,
 	}
@@ -90,6 +74,3 @@ func (sm *StreamMonitor) Report() *detect.Report { return sm.report }
 
 // Samples reports how many samples have been ingested.
 func (sm *StreamMonitor) Samples() int { return sm.n }
-
-// Name identifies the detector in verdicts and logs.
-func (sm *StreamMonitor) Name() string { return "parastack-stream" }

@@ -50,6 +50,75 @@ func TestRunsPMFSumsToOne(t *testing.T) {
 	}
 }
 
+// TestExactRunsRegionAt16 checks RunsTest's exact region at the
+// monitor's batch of 16 samples against a distribution counted by
+// enumerating every arrangement of n1 positives among 16 places, with
+// no use of runsPMF. Alpha is 1/den, so "P > alpha/2" is the integer
+// comparison 2·den·count > C(16, n1). It also pins which splits tell
+// the default runs-test alpha 0.05 from 0.04: only (5, 11) and (11, 5).
+func TestExactRunsRegionAt16(t *testing.T) {
+	const n = 16
+	var count [n + 1][n + 2]int // count[n1][runs] over all arrangements
+	for mask := 0; mask < 1<<n; mask++ {
+		runs := 1
+		for i := 1; i < n; i++ {
+			if (mask>>i)&1 != (mask>>(i-1))&1 {
+				runs++
+			}
+		}
+		n1 := 0
+		for m := mask; m != 0; m &= m - 1 {
+			n1++
+		}
+		count[n1][runs]++
+	}
+	region := func(n1, den int) (lo, hi int) {
+		total := 0
+		for _, c := range count[n1] {
+			total += c
+		}
+		for cum, r := 0, 2; r <= n; r++ {
+			if cum += count[n1][r]; 2*den*cum > total {
+				lo = r
+				break
+			}
+		}
+		for cum, r := 0, n; r >= 2; r-- {
+			if cum += count[n1][r]; 2*den*cum > total {
+				hi = r
+				break
+			}
+		}
+		return lo, hi
+	}
+	var differ []int
+	for n1 := 2; n1 <= n-2; n1++ {
+		samples := make([]float64, n)
+		for i := 0; i < n1; i++ {
+			samples[i] = 1
+		}
+		for _, den := range []int{20, 25} { // alpha 0.05 and 0.04
+			lo, hi := region(n1, den)
+			res := RunsTest(samples, 1/float64(den))
+			if res.N1 != n1 || res.Lo != lo || res.Hi != hi {
+				t.Errorf("n1=%d alpha=1/%d: RunsTest N1=%d region [%d, %d], enumeration [%d, %d]",
+					n1, den, res.N1, res.Lo, res.Hi, lo, hi)
+			}
+		}
+		lo5, hi5 := region(n1, 20)
+		lo4, hi4 := region(n1, 25)
+		if lo5 != lo4 || hi5 != hi4 {
+			differ = append(differ, n1)
+		}
+	}
+	if !slices.Equal(differ, []int{5, 11}) {
+		t.Errorf("splits whose region differs between alpha 0.05 and 0.04: n1 in %v, want [5 11]", differ)
+	}
+	if lo, hi := region(5, 20); lo != 5 || hi != 11 {
+		t.Errorf("(5, 11) at alpha 0.05: region [%d, %d], want [5, 11]", lo, hi)
+	}
+}
+
 func TestRunsTestDegenerateSides(t *testing.T) {
 	// All samples on one side of the mean is impossible, but one sample
 	// on a side is possible; the paper declares that "not random".
