@@ -237,6 +237,10 @@ type Monitor struct {
 	traceScratch []stack.Trace
 	okScratch    []bool
 
+	// traced counts the traces taken since the last countTraces, so a
+	// round or scan adds to CtrTraces once instead of once per trace.
+	traced int64
+
 	// Phase support (§6): nil models map means single-phase operation.
 	curPhase int
 	models   map[int]*model.Model
@@ -588,10 +592,21 @@ func (m *Monitor) rotateSet() {
 // blocked in MPI overlaps with its idle time and is free, matching the
 // paper's lightweight-design argument).
 func (m *Monitor) trace(rankID int) stack.Trace {
-	m.rec.Count(CtrTraces, 1)
+	m.traced++
 	r := m.w.Rank(rankID)
 	r.Proc().ChargePenalty(m.cfg.TraceCost)
 	return r.Observe()
+}
+
+// countTraces adds the traces taken since its last call to CtrTraces.
+// Every loop of traces calls it before the monitor sleeps or returns,
+// so the counter reads the same at every instant another process could
+// observe it as when each trace counted itself.
+func (m *Monitor) countTraces() {
+	if m.traced > 0 {
+		m.rec.Count(CtrTraces, m.traced)
+		m.traced = 0
+	}
 }
 
 // sampleRound probes the active set once and computes Scrout over the
@@ -614,6 +629,7 @@ func (m *Monitor) sampleRound() (float64, bool) {
 				out++
 			}
 		}
+		m.countTraces()
 		return float64(out) / float64(len(ranks)), true
 	}
 	out, got := 0, 0
@@ -632,6 +648,7 @@ func (m *Monitor) sampleRound() (float64, bool) {
 			}
 		}
 	}
+	m.countTraces()
 	// Quarantine after the probe loop: replacing a rank mutates the
 	// set being scanned, so restart the scan after each one.
 	for i := 0; i < len(m.sets[m.activeSet].Ranks); i++ {
@@ -828,19 +845,21 @@ func (m *Monitor) slowdownCheck(p *sim.Proc) bool {
 	for i := 0; i < n; i++ {
 		first[i], arrived[i] = m.probeFresh(i)
 	}
+	m.countTraces()
 	p.Sleep(gap)
 	if m.w.Done() || m.stopped {
 		return true // completed (or detached) while we checked
 	}
-	for i := 0; i < n; i++ {
+	slow := false
+	for i := 0; i < n && !slow; i++ {
 		if !arrived[i] {
 			continue
 		}
-		if sec, ok := m.probeFresh(i); ok && stack.CompareTraces(first[i], sec) == stack.SlowProgress {
-			return true
-		}
+		sec, ok := m.probeFresh(i)
+		slow = ok && stack.CompareTraces(first[i], sec) == stack.SlowProgress
 	}
-	return false
+	m.countTraces()
+	return slow
 }
 
 // identifyFaulty scans every rank FaultScans times, FaultScanGap apart,
@@ -882,6 +901,7 @@ func (m *Monitor) identifyFaulty(p *sim.Proc) []int {
 				persistent[i] = false
 			}
 		}
+		m.countTraces()
 	}
 	var out []int
 	for i, stayed := range persistent {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parastack/internal/sim"
+	"parastack/internal/stack"
 )
 
 // CollKind identifies a collective operation.
@@ -20,28 +21,33 @@ const (
 	CollAlltoall
 )
 
+// collFrames holds each collective's MPI frame, classified once; the
+// frame names double as the kinds' String values.
+var collFrames = [...]stack.Frame{
+	CollBarrier:   stack.Classify("MPI_Barrier"),
+	CollBcast:     stack.Classify("MPI_Bcast"),
+	CollReduce:    stack.Classify("MPI_Reduce"),
+	CollAllreduce: stack.Classify("MPI_Allreduce"),
+	CollGather:    stack.Classify("MPI_Gather"),
+	CollAllgather: stack.Classify("MPI_Allgather"),
+	CollScatter:   stack.Classify("MPI_Scatter"),
+	CollAlltoall:  stack.Classify("MPI_Alltoall"),
+}
+
+// frame returns the MPI frame a call of kind k pushes.
+func (k CollKind) frame() stack.Frame {
+	if k >= 0 && int(k) < len(collFrames) {
+		return collFrames[k]
+	}
+	return stack.Classify(k.String())
+}
+
 // String implements fmt.Stringer; values double as MPI frame names.
 func (k CollKind) String() string {
-	switch k {
-	case CollBarrier:
-		return "MPI_Barrier"
-	case CollBcast:
-		return "MPI_Bcast"
-	case CollReduce:
-		return "MPI_Reduce"
-	case CollAllreduce:
-		return "MPI_Allreduce"
-	case CollGather:
-		return "MPI_Gather"
-	case CollAllgather:
-		return "MPI_Allgather"
-	case CollScatter:
-		return "MPI_Scatter"
-	case CollAlltoall:
-		return "MPI_Alltoall"
-	default:
-		return fmt.Sprintf("CollKind(%d)", int(k))
+	if k >= 0 && int(k) < len(collFrames) {
+		return collFrames[k].Name
 	}
+	return fmt.Sprintf("CollKind(%d)", int(k))
 }
 
 // syncLike reports whether the collective acts as a synchronization
@@ -147,7 +153,7 @@ func (c *Comm) collDraw(seq, salt uint64) sim.Fixed {
 // program-order computation sleeps, an accounting that cannot depend on
 // which member a wake happens to route through.
 func (c *Comm) collective(r *Rank, kind CollKind, root, bytes int) {
-	r.enterMPI(kind.String())
+	r.enterMPI(kind.frame())
 	defer r.exitMPI()
 
 	me := c.RankOf(r)
@@ -335,7 +341,7 @@ const orphanSeqBase = uint64(1) << 63
 // it. It never returns.
 func (r *Rank) DesyncCollective(kind CollKind) {
 	c := r.w.worldComm
-	r.enterMPI(kind.String()) // never popped: the rank stays IN_MPI forever
+	r.enterMPI(kind.frame()) // never popped: the rank stays IN_MPI forever
 	me := c.RankOf(r)
 	seq := orphanSeqBase + uint64(r.id)
 	op := r.w.getCollOp(kind, 0, 0, c.Size())

@@ -13,9 +13,9 @@ import (
 // userspace collectives, but library users get the real thing here.
 type Comm struct {
 	w     *World
-	id    int         // 0 = world comm; derived comms count up in creation order
-	ranks []int       // members as world ranks, in communicator order
-	index map[int]int // world rank → comm rank
+	id    int     // 0 = world comm; derived comms count up in creation order
+	ranks []int   // members as world ranks, in communicator order
+	index []int32 // comm rank by world rank; -1 for a non-member
 
 	// Collective-matching state: in-flight ops by call sequence, and
 	// each member's call counter, indexed by world rank.
@@ -32,18 +32,21 @@ func newComm(w *World, members []int) *Comm {
 	c := &Comm{
 		w:       w,
 		ranks:   append([]int(nil), members...),
-		index:   make(map[int]int, len(members)),
+		index:   make([]int32, w.Size()),
 		colls:   make(map[uint64]*collOp),
 		collSeq: make([]uint64, w.Size()),
+	}
+	for i := range c.index {
+		c.index[i] = -1
 	}
 	for i, r := range c.ranks {
 		if r < 0 || r >= w.Size() {
 			panic(fmt.Sprintf("mpi: communicator member %d out of range", r))
 		}
-		if _, dup := c.index[r]; dup {
+		if c.index[r] >= 0 {
 			panic(fmt.Sprintf("mpi: rank %d appears twice in communicator", r))
 		}
-		c.index[r] = i
+		c.index[r] = int32(i)
 	}
 	if w.worldComm != nil {
 		// Derived (split) communicators are per-run objects; track them
@@ -122,11 +125,10 @@ func (c *Comm) Members() []int { return c.ranks }
 
 // RankOf returns r's communicator rank; it panics if r is not a member.
 func (c *Comm) RankOf(r *Rank) int {
-	i, ok := c.index[r.ID()]
-	if !ok {
-		panic(fmt.Sprintf("mpi: rank %d is not a member of this communicator", r.ID()))
+	if id := r.ID(); id < len(c.index) && c.index[id] >= 0 {
+		return int(c.index[id])
 	}
-	return i
+	panic(fmt.Sprintf("mpi: rank %d is not a member of this communicator", r.ID()))
 }
 
 // WorldRank translates a communicator rank to a world rank.

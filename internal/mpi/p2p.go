@@ -50,7 +50,7 @@ func (q *Request) complete(t sim.Time) {
 // (this matches small/medium messages in real MPI implementations, and
 // is the style the NPB-like workloads use).
 func (r *Rank) Send(dst, tag, bytes int) {
-	r.enterMPI("MPI_Send")
+	r.enterMPI(frameSend)
 	defer r.exitMPI()
 	r.startSend(dst, tag, bytes)
 	r.proc.Sleep(r.w.lat.SendOverhead)
@@ -60,7 +60,7 @@ func (r *Rank) Send(dst, tag, bytes int) {
 // buffering means the request is immediately completable; Wait/Test on
 // it still model their call cost.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
-	r.enterMPI("MPI_Isend")
+	r.enterMPI(frameIsend)
 	defer r.exitMPI()
 	r.startSend(dst, tag, bytes)
 	// Isend handles escape to user code indefinitely, so they never
@@ -85,17 +85,9 @@ func (r *Rank) startSend(dst, tag, bytes int) {
 	m.dst = dst
 	m.tag = tag
 	m.bytes = bytes
-	at := r.proc.Now() + r.w.lat.p2p(&r.rng, bytes)
-	if r.lastArrive == nil {
-		r.lastArrive = make(map[int]sim.Time)
-	}
-	if last := r.lastArrive[dst]; at < last {
-		at = last
-	}
-	r.lastArrive[dst] = at
-	m.arriveAt = at
+	m.arriveAt = r.clampArrival(dst, r.proc.Now()+r.w.lat.p2p(&r.rng, bytes))
 	r.msgSeq++
-	r.proc.Post(r.w.ranks[dst].proc, at, r.w.deliverFn, m)
+	r.proc.Post(r.w.ranks[dst].proc, m.arriveAt, r.w.deliverFn, m)
 }
 
 // deliverMsg is the shared delivery-event callback (see World.deliverFn):
@@ -150,7 +142,7 @@ func (w *World) completeReq(t sim.Time, arg any) {
 // match in post order; unexpected messages are consumed in delivery
 // order per matching criteria.
 func (r *Rank) Irecv(src, tag int) *Request {
-	r.enterMPI("MPI_Irecv")
+	r.enterMPI(frameIrecv)
 	defer r.exitMPI()
 	return r.postRecv(src, tag)
 }
@@ -268,7 +260,7 @@ func (r *Rank) release(q *Request) {
 // matched message. The rank stays IN_MPI (inside an MPI_Recv frame)
 // until the message arrives.
 func (r *Rank) Recv(src, tag int) int {
-	r.enterMPI("MPI_Recv")
+	r.enterMPI(frameRecv)
 	defer r.exitMPI()
 	q := r.postRecv(src, tag)
 	r.await(q)
@@ -280,7 +272,7 @@ func (r *Rank) Recv(src, tag int) int {
 
 // Wait blocks until the request completes (MPI_Wait).
 func (r *Rank) Wait(q *Request) {
-	r.enterMPI("MPI_Wait")
+	r.enterMPI(frameWait)
 	defer r.exitMPI()
 	r.await(q)
 	if q.isRecv {
@@ -290,7 +282,7 @@ func (r *Rank) Wait(q *Request) {
 
 // Waitall waits for every request in order.
 func (r *Rank) Waitall(qs []*Request) {
-	r.enterMPI("MPI_Waitall")
+	r.enterMPI(frameWaitall)
 	defer r.exitMPI()
 	for _, q := range qs {
 		r.await(q)
@@ -319,7 +311,7 @@ func (r *Rank) await(q *Request) {
 // momentarily puts the rank IN_MPI (the busy-wait pattern the paper
 // calls the third communication style). It retires completed receives.
 func (r *Rank) Test(q *Request) bool {
-	r.enterMPI("MPI_Test")
+	r.enterMPI(frameTest)
 	defer r.exitMPI()
 	r.proc.Sleep(r.w.lat.TestOverhead)
 	if q.done && q.isRecv {
@@ -336,7 +328,7 @@ func (r *Rank) Test(q *Request) bool {
 // cycle is dominated by the progress engine, without one simulation
 // event per poll iteration.
 func (r *Rank) TestFor(q *Request, slice time.Duration) bool {
-	r.enterMPI("MPI_Test")
+	r.enterMPI(frameTest)
 	defer r.exitMPI()
 	if q.done {
 		if q.isRecv {
@@ -356,7 +348,7 @@ func (r *Rank) TestFor(q *Request, slice time.Duration) bool {
 // delivery event has fired, so everything in it has already arrived,
 // as in a real progress engine.
 func (r *Rank) Iprobe(src, tag int) bool {
-	r.enterMPI("MPI_Iprobe")
+	r.enterMPI(frameIprobe)
 	defer r.exitMPI()
 	r.proc.Sleep(r.w.lat.TestOverhead)
 	for _, m := range r.unexpected[r.unexpectedHead:] {
@@ -372,7 +364,7 @@ func (r *Rank) Iprobe(src, tag int) bool {
 // SendRecv exchanges messages with two peers in one call (the halo
 // pattern): send to dst and receive from src, overlapping the two.
 func (r *Rank) SendRecv(dst, sendTag, bytes, src, recvTag int) int {
-	r.enterMPI("MPI_Sendrecv")
+	r.enterMPI(frameSendrecv)
 	defer r.exitMPI()
 	q := r.postRecv(src, recvTag)
 	r.startSend(dst, sendTag, bytes)

@@ -8,7 +8,7 @@ import "time"
 // creates classic head-to-head deadlocks, so it matters for hang
 // studies: two ranks Ssend-ing to each other first block forever.
 func (r *Rank) Ssend(dst, tag, bytes int) {
-	r.enterMPI("MPI_Ssend")
+	r.enterMPI(frameSsend)
 	defer r.exitMPI()
 	// Model: deliver the payload, then wait for an acknowledgement the
 	// receiver's matching engine sends when a receive consumes it.
@@ -23,7 +23,7 @@ func (r *Rank) Ssend(dst, tag, bytes int) {
 // SsendMatch is the receive counterpart used by ranks receiving from an
 // Ssend: it consumes the data message and releases the sender.
 func (r *Rank) SsendMatch(src, tag int) int {
-	r.enterMPI("MPI_Recv")
+	r.enterMPI(frameRecv)
 	defer r.exitMPI()
 	q := r.postRecv(src, ssendDataBase|tag)
 	r.await(q)
@@ -44,7 +44,7 @@ const (
 // Probe blocks until a matching message is deliverable (MPI_Probe),
 // without consuming it. The rank is IN_MPI while it waits.
 func (r *Rank) Probe(src, tag int) {
-	r.enterMPI("MPI_Probe")
+	r.enterMPI(frameProbe)
 	defer r.exitMPI()
 	for {
 		// Everything in the unexpected queue has arrived (delivery events
@@ -65,7 +65,7 @@ func (r *Rank) Probe(src, tag int) {
 // Waitany blocks until at least one of the requests completes and
 // returns its index (MPI_Waitany). It panics on an empty slice.
 func (r *Rank) Waitany(qs []*Request) int {
-	r.enterMPI("MPI_Waitany")
+	r.enterMPI(frameWaitany)
 	defer r.exitMPI()
 	if len(qs) == 0 {
 		panic("mpi: Waitany on no requests")

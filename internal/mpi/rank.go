@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"slices"
 	"time"
 
 	"parastack/internal/sim"
@@ -35,9 +36,11 @@ type Rank struct {
 
 	// lastArrive clamps per-destination arrival times monotone so jitter
 	// cannot reorder two same-pair messages in flight (MPI's
-	// non-overtaking rule). Keyed by destination rank; halo patterns
-	// touch a handful of peers, so the map stays tiny.
-	lastArrive map[int]sim.Time
+	// non-overtaking rule). It holds one entry per destination, sorted
+	// by dst and found by binary search: halo patterns touch a handful
+	// of peers, and a rank that sends to every other still pays only
+	// O(log peers) per send.
+	lastArrive []arrival
 
 	// rng is the rank's private random stream, seeded from
 	// (engine seed, rank id) at Launch. Drawing per-rank rather than
@@ -59,6 +62,37 @@ type Rank struct {
 	threads []*Thread // live worker threads of the current parallel region
 
 	hung bool // set by HangForever; the rank never runs again
+}
+
+// arrival is the latest arrival time a rank has stamped on a message
+// to dst.
+type arrival struct {
+	dst int
+	at  sim.Time
+}
+
+// clampArrival returns at raised to the latest arrival already stamped
+// on a message to dst, and records the result as that latest arrival.
+func (r *Rank) clampArrival(dst int, at sim.Time) sim.Time {
+	a := r.lastArrive
+	lo, hi := 0, len(a)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a[m].dst < dst {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(a) && a[lo].dst == dst {
+		if at < a[lo].at {
+			at = a[lo].at
+		}
+		a[lo].at = at
+		return at
+	}
+	r.lastArrive = slices.Insert(a, lo, arrival{dst: dst, at: at})
+	return at
 }
 
 // message is a point-to-point message in flight or queued.
@@ -168,12 +202,30 @@ func (r *Rank) HangForever() {
 // computation — the rank is OUT_MPI while spinning.
 func (r *Rank) Spin(d time.Duration) { r.Compute(d) }
 
+// The frames of the MPI functions the simulated library enters,
+// classified once here so an MPI call pushes its frame without any
+// string work (collectives use collFrames).
+var (
+	frameSend     = stack.Classify("MPI_Send")
+	frameIsend    = stack.Classify("MPI_Isend")
+	frameSsend    = stack.Classify("MPI_Ssend")
+	frameRecv     = stack.Classify("MPI_Recv")
+	frameIrecv    = stack.Classify("MPI_Irecv")
+	frameSendrecv = stack.Classify("MPI_Sendrecv")
+	frameWait     = stack.Classify("MPI_Wait")
+	frameWaitall  = stack.Classify("MPI_Waitall")
+	frameWaitany  = stack.Classify("MPI_Waitany")
+	frameTest     = stack.Classify("MPI_Test")
+	frameIprobe   = stack.Classify("MPI_Iprobe")
+	frameProbe    = stack.Classify("MPI_Probe")
+)
+
 // enterMPI pushes an MPI frame; exitMPI pops it. They are separate
 // calls (rather than enterMPI returning a pop func) so the per-call
 // `defer r.exitMPI()` stays an open-coded defer with no method-value
 // allocation — one heap object per MPI call otherwise, the single
 // largest allocation source in large campaigns.
-func (r *Rank) enterMPI(name string) { r.stack.Push(name) }
+func (r *Rank) enterMPI(f stack.Frame) { r.stack.PushFrame(f) }
 
 // exitMPI pops the frame pushed by the matching enterMPI.
 func (r *Rank) exitMPI() { r.stack.Pop() }

@@ -150,9 +150,7 @@ func (w *World) Reset(lat Latency) {
 		r.unexpected = r.unexpected[:0]
 		r.unexpectedHead, r.unexpectedHoles = 0, 0
 		r.msgSeq = 0
-		for dst := range r.lastArrive {
-			delete(r.lastArrive, dst)
-		}
+		r.lastArrive = r.lastArrive[:0]
 		r.block = blockState{}
 		r.threads = nil
 		r.hung = false

@@ -37,6 +37,16 @@ var mpiPrefixes = []string{"mpi", "MPI", "pmpi", "PMPI"}
 // IsMPIFrame reports whether a frame name denotes MPI library code,
 // using the same prefix rule as the paper.
 func IsMPIFrame(name string) bool {
+	// Every prefix starts with m, M, p or P: application frames fail on
+	// their first byte without entering the prefix loop.
+	if name == "" {
+		return false
+	}
+	switch name[0] {
+	case 'm', 'M', 'p', 'P':
+	default:
+		return false
+	}
 	for _, p := range mpiPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
@@ -66,6 +76,18 @@ type Frame struct {
 	Name string
 	// MPI caches IsMPIFrame(Name).
 	MPI bool
+	// Polling caches IsPollingFunc(Name).
+	Polling bool
+}
+
+// Classify builds the frame for a function named name, applying the
+// paper's prefix rule and the polling set once. Callers that enter the
+// same function repeatedly (the MPI layer) classify it once and push
+// the result with PushFrame.
+func Classify(name string) Frame {
+	f := Frame{Name: name, MPI: IsMPIFrame(name)}
+	f.Polling = f.MPI && pollingFuncs[name]
+	return f
 }
 
 // Stack is a simulated call stack. It is maintained by the simulated
@@ -117,12 +139,16 @@ func (s *Stack) Reset(base ...string) {
 }
 
 // Push enters a function.
-func (s *Stack) Push(name string) {
-	mpi := IsMPIFrame(name)
-	s.frames = append(s.frames, Frame{Name: name, MPI: mpi})
-	if mpi {
+func (s *Stack) Push(name string) { s.PushFrame(Classify(name)) }
+
+// PushFrame enters the function f describes; f comes from Classify.
+// It reads only f's flags, so a pre-classified frame costs no string
+// work.
+func (s *Stack) PushFrame(f Frame) {
+	s.frames = append(s.frames, f)
+	if f.MPI {
 		s.mpiDepth++
-		if IsPollingFunc(name) {
+		if f.Polling {
 			s.pollEntries++
 		} else {
 			s.nonPollEntries++
