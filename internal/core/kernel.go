@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"parastack/internal/model"
 	"parastack/internal/stats"
 )
@@ -17,12 +19,13 @@ type Kernel struct {
 	runsBatch        int
 	adapt            bool
 
-	randomOK  bool      // a runs test passed: the interval is final
-	sinceRuns int       // samples since the last runs test
-	streak    int       // consecutive suspicions
-	fitted    bool      // some sample has been judged against a fit
-	first     bool      // the latest sample was the first so judged
-	fit       model.Fit // the fit the latest sample was judged against
+	randomOK    bool      // a runs test passed: the interval is final
+	doublesLeft int       // doublings before the interval passes maxInterval
+	sinceRuns   int       // samples since the last runs test
+	streak      int       // consecutive suspicions
+	fitted      bool      // some sample has been judged against a fit
+	first       bool      // the latest sample was the first so judged
+	fit         model.Fit // the fit the latest sample was judged against
 
 	// k = ceil(log_kq alpha), cached against the Q it was computed for
 	// (k == 0: none yet), so a refit that keeps Q does not recompute it.
@@ -41,20 +44,49 @@ const (
 	Verify                   // the streak reached k: a candidate hang
 )
 
+// maxInterval is the ceiling on the adapted sampling interval: 8 × the
+// paper's 400 ms I0. §3 step 2 doubles I until a runs test passes, but
+// a hang that lands while the runs test still rejects keeps every later
+// window degenerate, so unbounded doubling can stretch I past the rest
+// of the run (102.4 s and 204.8 s in the two misses that motivated the
+// ceiling) and no verdict comes. Healthy workloads that adapt (FT at
+// 400 ms) settle within three doublings.
+const maxInterval = 3200 * time.Millisecond
+
+// doublingBudget returns how many doublings take interval i to at most
+// maxInterval.
+func doublingBudget(i time.Duration) int {
+	n := 0
+	for ; i > 0 && i <= maxInterval/2; i *= 2 {
+		n++
+	}
+	return n
+}
+
 // NewKernel returns a kernel with cfg's Alpha, RunsBatch, RunsAlpha and
-// DisableAdaptation (zero values select the paper's defaults).
+// DisableAdaptation (zero values select the paper's defaults). Its
+// doubling budget is derived from cfg.InitialInterval: the kernel asks
+// for no doubling that would take I past maxInterval.
 func NewKernel(cfg Config) Kernel {
 	cfg = cfg.withDefaults()
-	return Kernel{alpha: cfg.Alpha, runsAlpha: cfg.RunsAlpha, runsBatch: cfg.RunsBatch, adapt: !cfg.DisableAdaptation}
+	return Kernel{
+		alpha:       cfg.Alpha,
+		runsAlpha:   cfg.RunsAlpha,
+		runsBatch:   cfg.RunsBatch,
+		adapt:       !cfg.DisableAdaptation,
+		doublesLeft: doublingBudget(cfg.InitialInterval),
+	}
 }
 
 // Add folds x into md and, every RunsBatch samples until one passes,
 // runs the runs test over the latest batch. It returns true when the
 // test finds the sampling non-random: the driver then doubles its
-// interval and halves its models before calling Decide.
+// interval and halves its models before calling Decide. Once another
+// doubling would take I past maxInterval, adaptation stops: no further
+// test runs and no doubling is asked for.
 func (k *Kernel) Add(md *model.Model, x float64) (double bool) {
 	md.Add(x)
-	if !k.adapt || k.randomOK {
+	if !k.adapt || k.randomOK || k.doublesLeft == 0 {
 		return false
 	}
 	if k.sinceRuns++; k.sinceRuns < k.runsBatch {
@@ -62,7 +94,11 @@ func (k *Kernel) Add(md *model.Model, x float64) (double bool) {
 	}
 	k.sinceRuns = 0
 	k.randomOK = stats.RunsTest(md.Recent(k.runsBatch), k.runsAlpha).Random
-	return !k.randomOK
+	if k.randomOK {
+		return false
+	}
+	k.doublesLeft--
+	return true
 }
 
 // Decide judges x, the sample just added to md, against md's fit and

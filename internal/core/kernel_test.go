@@ -8,6 +8,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"parastack/internal/model"
 	"parastack/internal/stats"
@@ -125,15 +126,22 @@ func TestKernelKMatchesGeometricThreshold(t *testing.T) {
 }
 
 // The runs test runs every RunsBatch samples, counted from the start,
-// and only until it first passes: a doubling is asked for exactly when
-// a test is due and RunsTest rejects the latest batch, and after the
-// first pass no sample, however correlated, doubles the interval.
+// and only until it first passes or the doubling budget is spent: a
+// doubling is asked for exactly when a test is due, the interval is
+// still under maxInterval after another doubling, and RunsTest rejects
+// the latest batch. After the first pass no sample, however correlated,
+// doubles the interval, and at the default I0 no run doubles it more
+// than three times.
 func TestKernelRunsTestCadence(t *testing.T) {
 	const batch = 16
+	budget := doublingBudget(400 * time.Millisecond)
+	if budget != 3 {
+		t.Fatalf("doubling budget at 400ms = %d, want 3 (3.2s ceiling)", budget)
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		kd := newKernelDriver(Config{}, 1024)
-		passedAt := -1
+		passedAt, doubles := -1, 0
 		for n := 1; n <= 2000; n++ {
 			// An alternating start and constant stretches fail any
 			// runs test; stretches of independent draws can pass.
@@ -148,7 +156,7 @@ func TestKernelRunsTestCadence(t *testing.T) {
 			}
 			wasRandom := kd.k.randomOK
 			double := kd.k.Add(kd.md, x)
-			due := !wasRandom && n%batch == 0
+			due := !wasRandom && doubles < budget && n%batch == 0
 			want := due && !stats.RunsTest(kd.md.Recent(batch), 0.05).Random
 			if double != want {
 				t.Fatalf("seed %d sample %d: double=%v, want %v (test due %v)", seed, n, double, want, due)
@@ -160,12 +168,38 @@ func TestKernelRunsTestCadence(t *testing.T) {
 				passedAt = n
 			}
 			if double {
+				doubles++
 				kd.md.Halve()
 			}
 			kd.k.Decide(kd.md, x)
 		}
-		if passedAt < 40*int(seed) {
+		if passedAt >= 0 && passedAt < 40*int(seed) {
 			t.Fatalf("seed %d: runs test passed at sample %d", seed, passedAt)
+		}
+		// From seed 2 on the alternating start alone spans at least four
+		// due batches, every one rejected: the budget is spent on it.
+		if seed >= 2 && doubles != budget {
+			t.Fatalf("seed %d: %d doublings, want the whole budget of %d", seed, doubles, budget)
+		}
+	}
+}
+
+// doublingBudget counts the doublings that keep I at or under the
+// 3.2 s ceiling, whatever I0 is.
+func TestDoublingBudget(t *testing.T) {
+	for _, c := range []struct {
+		i0   time.Duration
+		want int
+	}{
+		{10 * time.Millisecond, 8}, // 2.56 s
+		{400 * time.Millisecond, 3},
+		{800 * time.Millisecond, 2},
+		{1600 * time.Millisecond, 1},
+		{3200 * time.Millisecond, 0},
+		{5 * time.Second, 0},
+	} {
+		if got := doublingBudget(c.i0); got != c.want {
+			t.Errorf("doublingBudget(%v) = %d, want %d", c.i0, got, c.want)
 		}
 	}
 }

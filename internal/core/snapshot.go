@@ -83,6 +83,7 @@ func RestoreMonitor(w *mpi.World, cluster *topology.Cluster, cfg Config, snap Sn
 	m.I = snap.I
 	m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
 	m.kernel.randomOK = snap.RandomOK
+	m.kernel.doublesLeft = doublingBudget(m.I)
 	m.totalSamples = snap.TotalSamples
 	m.epoch = snap.Epoch
 	m.sinceSwitch = snap.SinceSwitch

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parastack/internal/core"
+	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/fault"
 	"parastack/internal/mpi"
 	"parastack/internal/noise"
@@ -362,5 +363,50 @@ func TestAggregateRejectsNaNPrecision(t *testing.T) {
 	}
 	if m.FaultyChecked != 2 || m.PRf != 0.5 {
 		t.Fatalf("FaultyChecked = %d, PRf = %v, want 2, 0.5 (NaN counts as identified-nothing)", m.FaultyChecked, m.PRf)
+	}
+}
+
+// TestRunawayDoublingCellsDetected: the 64-rank campaign cells whose
+// monitor, with no ceiling on the sampling interval, doubled I eight or
+// nine times (to 102.4 s or 204.8 s) and ended with no verdict. With
+// the ceiling each hang is detected and diagnosed as its injected cause
+// within three doublings, and the clean run of each seed completes with
+// no report. The seed list is fixed: these are the cells that failed.
+func TestRunawayDoublingCellsDetected(t *testing.T) {
+	allKinds := []fault.Kind{fault.ComputationHang, fault.LostMessage,
+		fault.CollectiveMismatch, fault.CommunicationDeadlock}
+	cells := []struct {
+		bench string
+		seed  int64
+		kinds []fault.Kind
+	}{
+		{"BT", 15003, []fault.Kind{fault.ComputationHang}},
+		{"CG", 16017, allKinds},
+		{"CG", 27028, allKinds},
+		{"CG", 39019, allKinds},
+		{"CG", 47049, allKinds},
+		{"CG", 48036, allKinds},
+	}
+	r := NewRunner()
+	for _, c := range cells {
+		cfg := RunConfig{
+			Params:   workload.MustLookup(c.bench, "D", 64),
+			Platform: noise.Tardis(),
+			Seed:     c.seed,
+			Monitor:  &core.Config{},
+		}
+		for _, k := range c.kinds {
+			cfg.FaultKind = k
+			res := r.Run(cfg)
+			want := string(waitfor.ExpectedCause(k))
+			if !res.Detected || res.Cause != want || res.Doublings > 3 {
+				t.Errorf("%s/D/64 seed %d %s: detected %v, cause %q (want %q), %d doublings",
+					c.bench, c.seed, k, res.Detected, res.Cause, want, res.Doublings)
+			}
+		}
+		cfg.FaultKind = fault.None
+		if res := r.Run(cfg); !res.Completed || res.Report != nil {
+			t.Errorf("%s/D/64 seed %d clean: completed %v, report %+v", c.bench, c.seed, res.Completed, res.Report)
+		}
 	}
 }

@@ -77,7 +77,10 @@ func cgWorld(class string, ranks, iters int, compute time.Duration) workload.Par
 // TestRankGroupedOrderGolden: a 512-rank world (two ranks per shard),
 // seed 1 — clean and with a computation hang over 10 short iterations
 // (too short for the detector to convict), and with a computation hang
-// over 100 long ones, convicted and diagnosed.
+// over 100 long ones, convicted and diagnosed. The hang case's counts
+// include the monitor's own: its sampling interval stops at the 3.2 s
+// ceiling after three doublings, so it samples more often than it did
+// when doubling had no bound.
 func TestRankGroupedOrderGolden(t *testing.T) {
 	const verdict = `{"cause":"straggler-chain","size":512,"observed":512,"culprits":[362],` +
 		`"chain":[{"from":0,"to":362,"why":"MPI_Allreduce"}],` +
@@ -95,9 +98,9 @@ func TestRankGroupedOrderGolden(t *testing.T) {
 			Report: "null", Diagnosis: "null", Sleeps: 25621,
 		}},
 		{"hang", short, fault.ComputationHang, orderGolden{
-			Events: 61511, Injected: true, InjectedAt: 221893305,
-			PlannedFail: []int{362}, Doublings: 6, Report: "null", Diagnosis: "null",
-			Sleeps: 25205, Samples: 104, Traces: 1040,
+			Events: 61632, Injected: true, InjectedAt: 221893305,
+			PlannedFail: []int{362}, Doublings: 3, Report: "null", Diagnosis: "null",
+			Sleeps: 25326, Samples: 225, Traces: 2250,
 		}},
 		{"detected", long, fault.ComputationHang, orderGolden{
 			Events: 603209, Injected: true, InjectedAt: 42755007195, PlannedFail: []int{362},
