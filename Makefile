@@ -41,9 +41,13 @@ bench-smoke:
 # daemon's StreamMonitor.Ingest. The runner's own gates ride along:
 # objects and bytes per reused run, the goroutine count after runs that
 # panicked, and a reused runner's goroutine count holding flat from run
-# to run (its rank coroutines stay pooled).
+# to run (its rank coroutines stay pooled). The per-MPI-call path is
+# pinned too: every frame the MPI layer pushes is classified once and
+# agrees with the prefix rule and the polling set, and PushFrame/Pop
+# and a steady-state send to a known peer allocate nothing.
 bench-scale-smoke:
 	$(GO) test -run 'TestScaleSmoke$$|TestRunnerSteadyStateAllocs$$|TestRunnerPanicReleasesRanks$$|TestRunnerReuseHoldsGoroutines$$' -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestMPIFunctionClassification$$|TestPushFramePopZeroAlloc$$|TestSteadyStateSendZeroAlloc$$' -count=1 -v ./internal/stack ./internal/mpi
 	$(GO) test -run 'TestAddFitZeroAllocs$$' -count=1 -v ./internal/model
 	$(GO) test -run 'TestStreamMonitorIngestZeroAllocs$$' -count=1 -v ./internal/service
 

@@ -433,3 +433,27 @@ func TestSnapshotRestoreContinuesBitIdentical(t *testing.T) {
 		same(fmt.Sprintf("%d samples on", i+1))
 	}
 }
+
+// TestRestoreKeepsIntervalCeiling: a restored monitor's doubling budget
+// follows the interval it resumes at, so no failover lets the interval
+// pass the 3.2 s ceiling. Parked ranks give a constant Scrout, which
+// every due runs test rejects, so each monitor doubles until the
+// ceiling stops it.
+func TestRestoreKeepsIntervalCeiling(t *testing.T) {
+	for _, c := range []struct {
+		at   time.Duration
+		want int
+	}{{400 * time.Millisecond, 3}, {800 * time.Millisecond, 2}, {maxInterval, 0}} {
+		m, w := parkedMonitor(32, 4, Config{})
+		snap := m.Snapshot()
+		snap.I = c.at
+		r := RestoreMonitor(w, m.cluster, Config{}, snap)
+		for i := 0; i < 200; i++ {
+			r.SampleOnce()
+		}
+		if r.Doublings() != c.want || r.Interval() != maxInterval {
+			t.Errorf("restored at %v: %d doublings to %v, want %d to %v",
+				c.at, r.Doublings(), r.Interval(), c.want, maxInterval)
+		}
+	}
+}

@@ -350,22 +350,23 @@ func (m *Monitor) ActiveRanks() []int { return m.sets[m.activeSet].Ranks }
 func (m *Monitor) TotalSamples() int { return m.totalSamples }
 
 // SampleOnce executes one steady-state sampling round outside the
-// simulation loop: trace the active monitor set, fold the Scrout value
-// into the model, and record the sample. The monitor's run loop
-// performs exactly these steps per wakeup; SampleOnce exposes them so
-// benchmarks (this package's BenchmarkSamplingRound*, the
-// core.sample_round_ns_* metrics of go run ./benchmark) can measure the
-// per-sample cost — which must stay allocation-free — directly. A
-// round discarded by the chaos-degradation quorum rule contributes
-// nothing to the model and returns 0.
+// simulation loop: trace the active monitor set and fold the Scrout
+// value in (see fold: the model update and refit, the runs test and any
+// doubling, the decision, the record and the set rotation). The
+// monitor's run loop performs exactly these steps per wakeup; SampleOnce
+// exposes them so benchmarks (this package's BenchmarkSamplingRound*,
+// the core.sample_round_ns_* metrics of go run ./benchmark) can measure
+// the per-sample cost — which must stay allocation-free — directly. It
+// takes no verification action: a Verify decision is left to the run
+// loop's slowdown filter and scans. A round discarded by the
+// chaos-degradation quorum rule contributes nothing to the model and
+// returns 0.
 func (m *Monitor) SampleOnce() float64 {
 	scrout, ok := m.sampleRound()
 	if !ok {
 		return 0
 	}
-	m.curModel().Add(scrout)
-	m.totalSamples++
-	m.record(scrout, false)
+	m.fold(scrout)
 	return scrout
 }
 
@@ -425,55 +426,7 @@ func (m *Monitor) run(p *sim.Proc) {
 			continue
 		}
 		m.noteRecovery()
-		md := m.curModel()
-		m.totalSamples++
-		// The kernel's runs test asks for a doubling while the sampling
-		// is not yet random (§3 step 2); the actuators are the monitor's.
-		if m.kernel.Add(md, scrout) {
-			m.I *= 2
-			m.rec.Count(CtrDoublings, 1)
-			m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
-			if m.rec.Enabled() {
-				m.rec.Event(time.Duration(eng.Now()), EvDoubling,
-					obs.Dur("interval_us", m.I))
-			}
-			m.halveModels()
-		}
-
-		d := m.kernel.Decide(md, scrout)
-		if d == Learning {
-			m.record(scrout, false)
-			m.rotateSet()
-			continue
-		}
-		fit := m.kernel.Fit()
-		m.rec.Gauge(GaugeQ, fit.Q)
-		m.rec.Gauge(GaugeThreshold, fit.Threshold)
-		if m.kernel.FirstFit() {
-			m.ModelReadyAt = time.Duration(eng.Now())
-			if m.rec.Enabled() {
-				m.rec.Event(m.ModelReadyAt, EvModelReady,
-					obs.Int("n", int64(md.N())),
-					obs.F64("threshold", fit.Threshold),
-					obs.F64("q", fit.Q))
-			}
-		}
-
-		m.record(scrout, d != Clear)
-		if d == Clear {
-			m.rotateSet()
-			continue
-		}
-		m.rec.Count(CtrSuspicions, 1)
-		if m.rec.Enabled() {
-			m.rec.Event(time.Duration(eng.Now()), EvSuspicion,
-				obs.Int("streak", int64(m.kernel.Streak())),
-				obs.Int("k", int64(m.kernel.K())),
-				obs.F64("q", fit.Q),
-				obs.F64("threshold", fit.Threshold))
-		}
-		if d != Verify {
-			m.rotateSet()
+		if m.fold(scrout) != Verify {
 			continue
 		}
 
@@ -501,6 +454,7 @@ func (m *Monitor) run(p *sim.Proc) {
 		// Verified hang: classify and identify faulty ranks. DetectedAt
 		// is the instant of verification; the faulty-rank scans that
 		// follow take additional virtual time and must not shift it.
+		fit := m.kernel.Fit()
 		rep := &Report{
 			DetectedAt: time.Duration(eng.Now()),
 			Suspicions: m.kernel.Streak(),
@@ -533,6 +487,64 @@ func (m *Monitor) run(p *sim.Proc) {
 		}
 		return
 	}
+}
+
+// fold runs one accepted Scrout sample through the kernel with the
+// monitor's actuators: Add (doubling I and halving the models when the
+// runs test asks), Decide, the gauges and events of the decision, and
+// record. Every decision short of Verify ends the wakeup, so fold also
+// rotates the monitor set for those; on Verify the caller owns the
+// verification.
+func (m *Monitor) fold(scrout float64) Decision {
+	now := time.Duration(m.w.Engine().Now())
+	md := m.curModel()
+	m.totalSamples++
+	// The kernel's runs test asks for a doubling while the sampling is
+	// not yet random (§3 step 2); the actuators are the monitor's.
+	if m.kernel.Add(md, scrout) {
+		m.I *= 2
+		m.rec.Count(CtrDoublings, 1)
+		m.rec.Gauge(GaugeInterval, float64(m.I.Milliseconds()))
+		if m.rec.Enabled() {
+			m.rec.Event(now, EvDoubling, obs.Dur("interval_us", m.I))
+		}
+		m.halveModels()
+	}
+
+	d := m.kernel.Decide(md, scrout)
+	if d == Learning {
+		m.record(scrout, false)
+		m.rotateSet()
+		return d
+	}
+	fit := m.kernel.Fit()
+	m.rec.Gauge(GaugeQ, fit.Q)
+	m.rec.Gauge(GaugeThreshold, fit.Threshold)
+	if m.kernel.FirstFit() {
+		m.ModelReadyAt = now
+		if m.rec.Enabled() {
+			m.rec.Event(now, EvModelReady,
+				obs.Int("n", int64(md.N())),
+				obs.F64("threshold", fit.Threshold),
+				obs.F64("q", fit.Q))
+		}
+	}
+
+	m.record(scrout, d != Clear)
+	if d != Clear {
+		m.rec.Count(CtrSuspicions, 1)
+		if m.rec.Enabled() {
+			m.rec.Event(now, EvSuspicion,
+				obs.Int("streak", int64(m.kernel.Streak())),
+				obs.Int("k", int64(m.kernel.K())),
+				obs.F64("q", fit.Q),
+				obs.F64("threshold", fit.Threshold))
+		}
+	}
+	if d != Verify {
+		m.rotateSet()
+	}
+	return d
 }
 
 // record counts and emits the sample, and appends to history when

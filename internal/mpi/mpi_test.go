@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -81,6 +83,135 @@ func TestMessageOrderingFIFO(t *testing.T) {
 	for i, s := range sizes {
 		if s != (i+1)*100 {
 			t.Fatalf("messages reordered: %v", sizes)
+		}
+	}
+}
+
+// TestNonOvertakingManyPeers: every rank Isends k messages to each of
+// 16 peers, interleaved round by round, all issued at one instant with
+// random sizes, so jitter and size alone would reorder messages of one
+// pair. Every receiver must still see each sender's messages in send
+// order. A second run on the reset world (which keeps each rank's
+// arrival clamps' storage) must give the same receive times as the
+// first, fresh one.
+func TestNonOvertakingManyPeers(t *testing.T) {
+	const size, k = 17, 6
+	// bytes encodes a message's identity in its low 12 bits above a
+	// random size of up to 1 MB, so wire latencies differ by up to
+	// ~175 µs between messages of one pair.
+	rng := rand.New(rand.NewSource(7))
+	type sent struct{ src, seq int }
+	plan := make([][][]int, size) // plan[src][round] = bytes per peer slot
+	ident := map[int]sent{}
+	id := 0
+	for src := range plan {
+		plan[src] = make([][]int, k)
+		for j := range plan[src] {
+			plan[src][j] = make([]int, size-1)
+			for p := range plan[src][j] {
+				b := (1+rng.Intn(256))<<12 | id
+				id++
+				plan[src][j][p] = b
+				ident[b] = sent{src, j}
+			}
+		}
+	}
+	run := func(eng *sim.Engine, w *World) [][]sim.Time {
+		at := make([][]sim.Time, size)
+		w.Launch(func(r *Rank) {
+			me := r.ID()
+			for j := 0; j < k; j++ {
+				for p := 0; p < size-1; p++ {
+					// Peers in a per-round rotation: interleaved, not
+					// one peer at a time.
+					dst := (me + 1 + (p+j)%(size-1)) % size
+					r.Isend(dst, 0, plan[me][j][(p+j)%(size-1)])
+				}
+				r.Compute(10 * time.Microsecond)
+			}
+			next := make([]int, size) // next expected seq per source
+			for n := 0; n < k*(size-1); n++ {
+				got := ident[r.Recv(AnySource, 0)]
+				if got.seq != next[got.src] {
+					t.Errorf("rank %d: message %d from %d arrived when %d was due", me, got.seq, got.src, next[got.src])
+				}
+				next[got.src] = got.seq + 1
+				at[me] = append(at[me], r.Now())
+			}
+		})
+		eng.RunAll()
+		if !w.Done() {
+			t.Fatal("world did not complete")
+		}
+		return at
+	}
+	eng := sim.NewEngine(5)
+	w := NewWorld(eng, size, Latency{})
+	fresh := run(eng, w)
+	eng.Reset(5)
+	w.Reset(Latency{})
+	if again := run(eng, w); !reflect.DeepEqual(again, fresh) {
+		t.Fatalf("rerun on the reset world received at other times:\n got %v\nwant %v", again, fresh)
+	}
+}
+
+// TestSteadyStateSendZeroAlloc: a send to a peer the rank has sent to
+// before allocates nothing: its frame is pre-classified, the arrival
+// clamp updates the peer's entry in place, and the message, request
+// and events come from pools (the ping-pong keeps both ranks' message
+// pools stocked).
+func TestSteadyStateSendZeroAlloc(t *testing.T) {
+	const warm, runs = 8, 100
+	eng, w := newTestWorld(t, 2)
+	avg := -1.0
+	w.Launch(func(r *Rank) {
+		if r.ID() == 1 {
+			for i := 0; i < warm+runs+1; i++ { // AllocsPerRun adds one warm-up call
+				r.Recv(0, 0)
+				r.Send(0, 0, 8)
+			}
+			return
+		}
+		pingPong := func() {
+			r.Send(1, 0, 8)
+			r.Recv(1, 0)
+		}
+		for i := 0; i < warm; i++ {
+			pingPong()
+		}
+		avg = testing.AllocsPerRun(runs, pingPong)
+	})
+	eng.RunAll()
+	if !w.Done() {
+		t.Fatal("world did not complete")
+	}
+	if avg != 0 {
+		t.Fatalf("steady-state send/recv allocates %v objects per exchange, want 0", avg)
+	}
+}
+
+// TestMPIFunctionClassification: every frame the MPI layer interns, and
+// every collective's, carries the classification the stack package
+// gives its name; exactly MPI_Test and MPI_Iprobe are polling.
+func TestMPIFunctionClassification(t *testing.T) {
+	frames := []stack.Frame{frameSend, frameIsend, frameSsend, frameRecv, frameIrecv,
+		frameSendrecv, frameWait, frameWaitall, frameWaitany, frameTest, frameIprobe, frameProbe}
+	if len(collFrames) != int(CollAlltoall)+1 {
+		t.Fatalf("collFrames has %d entries, want one per CollKind (%d)", len(collFrames), int(CollAlltoall)+1)
+	}
+	for k := CollBarrier; k <= CollAlltoall; k++ {
+		if f := k.frame(); f.Name != k.String() || f.Name == "" {
+			t.Errorf("%v: frame %q, want its String", k, f.Name)
+		}
+		frames = append(frames, k.frame())
+	}
+	for _, f := range frames {
+		if !f.MPI || !stack.IsMPIFrame(f.Name) {
+			t.Errorf("%q: MPI %v, IsMPIFrame %v, want both true", f.Name, f.MPI, stack.IsMPIFrame(f.Name))
+		}
+		want := f.Name == "MPI_Test" || f.Name == "MPI_Iprobe"
+		if f.Polling != want || stack.IsPollingFunc(f.Name) != want {
+			t.Errorf("%q: Polling %v, IsPollingFunc %v, want %v", f.Name, f.Polling, stack.IsPollingFunc(f.Name), want)
 		}
 	}
 }

@@ -24,6 +24,9 @@ func TestIsMPIFrame(t *testing.T) {
 		if got := IsMPIFrame(c.name); got != c.want {
 			t.Errorf("IsMPIFrame(%q) = %v, want %v", c.name, got, c.want)
 		}
+		if f := Classify(c.name); f.Name != c.name || f.MPI != c.want || f.Polling {
+			t.Errorf("Classify(%q) = %+v, want MPI %v and not polling", c.name, f, c.want)
+		}
 	}
 }
 
@@ -67,6 +70,30 @@ func TestMPIFunctionClassification(t *testing.T) {
 		if got := IsPollingFunc(c.name); got != c.polling {
 			t.Errorf("IsPollingFunc(%q) = %v, want %v", c.name, got, c.polling)
 		}
+		if f := Classify(c.name); f.Name != c.name || !f.MPI || f.Polling != c.polling {
+			t.Errorf("Classify(%q) = %+v, want MPI and polling %v", c.name, f, c.polling)
+		}
+	}
+}
+
+// PushFrame and Pop of a pre-classified frame allocate nothing once the
+// stack's backing array has grown: the per-MPI-call path is free of
+// allocation as well as of string work.
+func TestPushFramePopZeroAlloc(t *testing.T) {
+	s := New("main")
+	send, test := Classify("MPI_Send"), Classify("MPI_Test")
+	s.PushFrame(send)
+	s.PushFrame(test)
+	s.Pop()
+	s.Pop()
+	avg := testing.AllocsPerRun(1000, func() {
+		s.PushFrame(send)
+		s.PushFrame(test)
+		s.Pop()
+		s.Pop()
+	})
+	if avg != 0 {
+		t.Fatalf("PushFrame/Pop allocates %v objects per call pair, want 0", avg)
 	}
 }
 
