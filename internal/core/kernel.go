@@ -48,9 +48,10 @@ const (
 // paper's 400 ms I0. §3 step 2 doubles I until a runs test passes, but
 // a hang that lands while the runs test still rejects keeps every later
 // window degenerate, so unbounded doubling can stretch I past the rest
-// of the run (102.4 s and 204.8 s in the two misses that motivated the
-// ceiling) and no verdict comes. Healthy workloads that adapt (FT at
-// 400 ms) settle within three doublings.
+// of the run (102.4 s and 204.8 s in the misses that motivated the
+// ceiling) and no verdict comes. FT at 400 ms, the workload that needs
+// adaptation most, doubles up to four times without the ceiling and
+// raises no more false alarms with it.
 const maxInterval = 3200 * time.Millisecond
 
 // doublingBudget returns how many doublings take interval i to at most

@@ -500,7 +500,8 @@ func (m *Monitor) fold(scrout float64) Decision {
 	md := m.curModel()
 	m.totalSamples++
 	// The kernel's runs test asks for a doubling while the sampling is
-	// not yet random (§3 step 2); the actuators are the monitor's.
+	// not yet random and I is under its ceiling (§3 step 2); the
+	// actuators are the monitor's.
 	if m.kernel.Add(md, scrout) {
 		m.I *= 2
 		m.rec.Count(CtrDoublings, 1)
