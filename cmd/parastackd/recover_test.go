@@ -1,13 +1,10 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"syscall"
 	"testing"
-	"time"
 
 	"parastack/internal/core"
 	"parastack/internal/experiment"
@@ -17,9 +14,6 @@ import (
 	"parastack/internal/service"
 	"parastack/internal/workload"
 )
-
-// dialPolicy paces client dial/retry loops in the daemon tests.
-var dialPolicy = service.RetryPolicy{MaxAttempts: 200, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Seed: 1}
 
 // TestKillAndRecoverDaemon is the crash-recovery smoke behind
 // `make recover-smoke`: build the real daemon with the race detector,
@@ -32,31 +26,11 @@ func TestKillAndRecoverDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs (and kills) the real daemon")
 	}
+	bin := buildDaemon(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "parastackd")
-	build := exec.Command("go", "build", "-race", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building parastackd: %v", err)
-	}
-	sock := filepath.Join(dir, "psd.sock")
 	journal := filepath.Join(dir, "journal.jsonl")
 	ledgerDir := filepath.Join(dir, "ledger")
-	args := []string{"-socket", sock, "-journal", journal, "-ledger", ledgerDir,
-		"-workers", "2", "-drain-timeout", "120s"}
-
-	start := func() (*exec.Cmd, chan error) {
-		t.Helper()
-		daemon := exec.Command(bin, args...)
-		daemon.Stdout = os.Stdout
-		daemon.Stderr = os.Stderr
-		if err := daemon.Start(); err != nil {
-			t.Fatalf("starting parastackd: %v", err)
-		}
-		exited := make(chan error, 1)
-		go func() { exited <- daemon.Wait() }()
-		return daemon, exited
-	}
+	args := []string{"-journal", journal, "-ledger", ledgerDir, "-workers", "2", "-drain-timeout", "120s"}
 
 	jobs := []service.JobSpec{
 		{ID: "hang3", Bench: "CG", Class: "D", Procs: 64, Platform: "tardis", Fault: "computation", Seed: 3},
@@ -64,24 +38,13 @@ func TestKillAndRecoverDaemon(t *testing.T) {
 		{ID: "hang5", Bench: "CG", Class: "D", Procs: 64, Platform: "tardis", Fault: "computation", Seed: 5},
 	}
 
-	daemon, exited := start()
+	daemon, exited, base := startDaemon(t, bin, args...)
 	defer daemon.Process.Kill()
-	cl, err := service.DialRetry("unix", sock, dialPolicy)
-	if err != nil {
-		t.Fatalf("dialing daemon: %v", err)
-	}
-	for i := range jobs {
-		resp, err := cl.Do(service.Request{Op: service.OpSubmit, Job: &jobs[i]})
-		if err != nil || !resp.OK {
-			t.Fatalf("submit %s: %v %s", jobs[i].ID, err, resp.Error)
-		}
+	for _, js := range jobs {
+		submit(t, base, js)
 	}
 	// Mid-burst: wait for the first verdict, then pull the plug.
-	resp, err := cl.Do(service.Request{Op: service.OpWait, ID: jobs[0].ID, TimeoutMS: 300_000})
-	if err != nil || !resp.OK || resp.Verdict == nil {
-		t.Fatalf("first verdict: %v %s", err, resp.Error)
-	}
-	cl.Close()
+	waitVerdict(t, base, jobs[0].ID)
 	if err := daemon.Process.Kill(); err != nil { // SIGKILL: no drain, no goodbye
 		t.Fatal(err)
 	}
@@ -89,30 +52,18 @@ func TestKillAndRecoverDaemon(t *testing.T) {
 
 	// Restart on the same journal: recovery must re-install the decided
 	// verdict and re-run the open jobs.
-	daemon, exited = start()
+	daemon, exited, base = startDaemon(t, bin, args...)
 	defer daemon.Process.Kill()
-	cl, err = service.DialRetry("unix", sock, dialPolicy)
-	if err != nil {
-		t.Fatalf("redialing daemon: %v", err)
-	}
-	defer cl.Close()
 	got := make(map[string]service.Verdict)
 	for _, js := range jobs {
-		resp, err := cl.Do(service.Request{Op: service.OpWait, ID: js.ID, TimeoutMS: 300_000})
-		if err != nil || !resp.OK || resp.Verdict == nil {
-			t.Fatalf("post-recovery wait %s: %v %s", js.ID, err, resp.Error)
-		}
-		got[js.ID] = *resp.Verdict
+		got[js.ID] = waitVerdict(t, base, js.ID)
 	}
-	resp, err = cl.Do(service.Request{Op: service.OpVerdicts})
-	if err != nil || !resp.OK {
-		t.Fatalf("verdicts: %v %s", err, resp.Error)
-	}
-	if len(resp.Verdicts) != len(jobs) {
-		t.Fatalf("verdicts after recovery = %d, want exactly %d (one per job)", len(resp.Verdicts), len(jobs))
+	all := verdicts(t, base)
+	if len(all) != len(jobs) {
+		t.Fatalf("verdicts after recovery = %d, want exactly %d (one per job)", len(all), len(jobs))
 	}
 	seen := map[string]bool{}
-	for _, v := range resp.Verdicts {
+	for _, v := range all {
 		if seen[v.JobID] {
 			t.Fatalf("duplicate verdict for %s", v.JobID)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -134,25 +135,24 @@ func TestFeedNormalisesNegativeZero(t *testing.T) {
 	}
 }
 
-// JSON carries neither NaN nor Inf, so over the socket the reachable
-// bad value is a negative one.
+// JSON carries neither NaN nor Inf, so over HTTP the reachable bad
+// value is a negative one.
 func TestServerFeedRejectsBadSample(t *testing.T) {
-	svc, _, cl := startServer(t, Config{})
-	js := JobSpec{ID: "feed", Stream: true}
-	if resp, err := cl.Do(Request{Op: OpSubmit, Job: &js}); err != nil || !resp.OK {
-		t.Fatalf("submit: %+v err=%v", resp, err)
+	svc, h := newHTTP(t, Config{})
+	if err := svc.Submit(JobSpec{ID: "feed", Stream: true}); err != nil {
+		t.Fatal(err)
 	}
 	batch := []StreamSample{{TUS: 1, Scrout: 0.5}, {TUS: 2, Scrout: -1}}
-	resp, err := cl.Do(Request{Op: OpFeed, ID: "feed", Samples: batch})
-	if err != nil || resp.OK || !strings.Contains(resp.Error, ErrBadSample.Error()) {
-		t.Fatalf("feed response = %+v err=%v, want the ErrBadSample wire error", resp, err)
+	code, body := serve(h, http.MethodPost, "/jobs/feed/samples", samplesBody(t, batch))
+	if taken, msg := fedResponse(t, body); code != http.StatusBadRequest || taken != 0 || !strings.Contains(msg, ErrBadSample.Error()) {
+		t.Fatalf("feed = %d %s, want 400 naming ErrBadSample with nothing taken", code, body)
 	}
 	if got := svc.Counters().Counter(CtrSamplesDropped); got != 2 {
 		t.Errorf("samples_rejected = %d, want 2", got)
 	}
-	// The connection and the job both survive the refusal.
-	if resp, err := cl.Do(Request{Op: OpFeed, ID: "feed", Samples: batch[:1]}); err != nil || !resp.OK {
-		t.Fatalf("feed after rejection: %+v err=%v", resp, err)
+	// The job survives the refusal.
+	if code, body := serve(h, http.MethodPost, "/jobs/feed/samples", samplesBody(t, batch[:1])); code != http.StatusOK {
+		t.Fatalf("feed after rejection = %d %s", code, body)
 	}
 }
 
