@@ -97,8 +97,11 @@ sweep-smoke:
 # torn journals must never panic ReplayJournal or double-admit a job),
 # of the model's maintained window (after any Add/Halve sequence it
 # must equal the sorted history and fit bit-identically to a rebuild),
-# and of the ECDF's counted distinct values (after any Insert/Replace/
-# Reset sequence every query must answer as a plain sorted slice does).
+# of the ECDF's counted distinct values (after any Insert/Replace/
+# Reset sequence every query must answer as a plain sorted slice does),
+# and of the daemon's HTTP ingress (an arbitrary POST /jobs body or
+# samples body must end in a known status, count every sample it
+# parsed, and leave every admitted job to reach a verdict).
 # Fixed seed corpus + 5s of mutation each. Minimising a newly
 # interesting input is capped at 1s (the default is 60s), so the
 # budget goes to fuzzing rather than to minimisation.
@@ -107,6 +110,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=5s -fuzzminimizetime=1s ./internal/diagnose/waitfor
 	$(GO) test -run='^$$' -fuzz=FuzzProof -fuzztime=5s -fuzzminimizetime=1s ./internal/ledger
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s -fuzzminimizetime=1s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=1s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzStreamFeed -fuzztime=5s -fuzzminimizetime=1s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzModelIncremental -fuzztime=5s -fuzzminimizetime=1s ./internal/model
 	$(GO) test -run='^$$' -fuzz=FuzzECDF -fuzztime=5s -fuzzminimizetime=1s ./internal/stats
 
@@ -125,17 +130,17 @@ diagnose-smoke:
 	$(GO) test -race -run 'TestCausePropertyGrid$$|TestCauseDegradesUnderChaos$$' -count=1 -v ./internal/diagnose/waitfor
 
 # Daemon smoke: build the real parastackd binary with the race
-# detector, start it on a unix socket, drive three jobs through the
-# wire protocol (an injected hang, a clean run, a silent Scrout
-# stream), assert all three verdicts, and require a graceful zero-exit
-# SIGTERM drain (see cmd/parastackd/main_test.go).
+# detector, start it on an ephemeral loopback HTTP port, drive three
+# jobs over HTTP (an injected hang, a clean run, a silent Scrout stream
+# fed as a JSONL body), assert all three verdicts, and require a
+# graceful zero-exit SIGTERM drain (see cmd/parastackd/main_test.go).
 service-smoke:
 	$(GO) test -race -run 'TestDaemonSmoke$$' -count=1 -v ./cmd/parastackd
 
-# Crash-recovery smoke: build parastackd with the race detector, run a
-# burst of jobs with an admission journal and a verdict ledger, SIGKILL
-# the daemon after the first verdict, restart it on the same journal,
-# and require exactly one verdict per job — bit-identical to
+# Crash-recovery smoke: build parastackd with the race detector, submit
+# a burst of jobs over HTTP with an admission journal and a verdict
+# ledger, SIGKILL the daemon after the first verdict, restart it on the
+# same journal, and require exactly one verdict per job — bit-identical to
 # uninterrupted in-process runs — with the verdict ledger auditing
 # clean (see cmd/parastackd/recover_test.go). Then the second-crash
 # case: a restart over a journal whose last admit was torn must still

@@ -67,9 +67,10 @@ const (
 	CtrDeadlineExpired = "service.deadline_expired" // jobs failed by the per-job deadline
 )
 
-// Admission errors. The server maps these onto wire error strings;
-// clients distinguish "retry later" (ErrBusy, ErrBacklog) from "fix
-// your request" (validation, ErrQuota while full, duplicates).
+// Admission errors. The HTTP handler maps these onto statuses
+// (statusOf), so clients tell "retry later" (503: ErrBusy, ErrBacklog,
+// ErrQuota, ErrDraining) from "fix your request" (400 validation, 409
+// duplicates).
 var (
 	// ErrQuota rejects a submission that would exceed Config.MaxJobs
 	// resident jobs.

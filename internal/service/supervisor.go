@@ -9,8 +9,7 @@ import (
 	"parastack/internal/sweep"
 )
 
-// RetryPolicy bounds and paces the supervisor's requeue loop (and,
-// reused client-side, the RetryClient's ErrBusy/ErrBacklog retries).
+// RetryPolicy bounds and paces the supervisor's requeue loop.
 // The zero value means "one attempt, no requeue" — supervision is
 // opt-in per deployment. Delay is exponential with a deterministic,
 // seeded jitter: same (Seed, key, attempt) → same delay, which is what
